@@ -15,25 +15,8 @@ the partner is rebuilt by lowering from zero, top position first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .rootdata import num_positive_roots, is_reduced
 from .zcrystal import SequenceSpec, ZElement, eps, etilde, etilde_max, ftilde
-
-
-@dataclass(frozen=True)
-class BInfElement:
-    """A sequence-crystal element certified to lie in the image."""
-
-    spec: SequenceSpec
-    element: ZElement
-
-    def __post_init__(self):
-        if not membership(self.spec, self.element):
-            raise ValueError(f"{self.element!r} is not in the image for this index sequence")
-
-    def coords(self, length: int) -> tuple[int, ...]:
-        return self.element.coords(length)
 
 
 def membership(spec: SequenceSpec, x: ZElement) -> bool:
@@ -97,12 +80,15 @@ def string_param(
     return tuple(out)
 
 
-def check_longest_word_spec(spec: SequenceSpec) -> int:
-    """Validate that the base word is reduced and reaches the longest element."""
+def _longest_word_string(spec: SequenceSpec, x: ZElement, direction: tuple[int, ...],
+                         name: str) -> tuple[int, ...]:
+    """String data of a member along a direction word, for a longest-word base."""
     n = num_positive_roots(spec.cartan)
     if len(spec.base.letters) != n or not is_reduced(spec.cartan, spec.base):
         raise ValueError("base word must be a reduced word for the longest element")
-    return n
+    if not membership(spec, x):
+        raise ValueError(f"{name} is only defined on image elements")
+    return string_param(spec, x, direction, require_exhaustive=True)[:n]
 
 
 def eta(spec: SequenceSpec, x: ZElement) -> tuple[int, ...]:
@@ -112,10 +98,7 @@ def eta(spec: SequenceSpec, x: ZElement) -> tuple[int, ...]:
     members this is an involution, and the result is again a member's
     coordinate vector.
     """
-    n = check_longest_word_spec(spec)
-    if not membership(spec, x):
-        raise ValueError("eta is only defined on image elements")
-    return string_param(spec, x, spec.base.letters, require_exhaustive=True)[:n]
+    return _longest_word_string(spec, x, spec.base.letters, "eta")
 
 
 def eta_opposite(spec: SequenceSpec, x: ZElement) -> tuple[int, ...]:
@@ -126,7 +109,4 @@ def eta_opposite(spec: SequenceSpec, x: ZElement) -> tuple[int, ...]:
     two charts (not an involution), and it is the map some closed-form
     tables describe for non-palindromic words.
     """
-    n = check_longest_word_spec(spec)
-    if not membership(spec, x):
-        raise ValueError("eta_opposite is only defined on image elements")
-    return string_param(spec, x, tuple(reversed(spec.base.letters)), require_exhaustive=True)[:n]
+    return _longest_word_string(spec, x, tuple(reversed(spec.base.letters)), "eta_opposite")

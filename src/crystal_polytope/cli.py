@@ -11,8 +11,8 @@ stdout; a one-line convention banner goes to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import os
 import sys
 
 from .binfinity import eta, eta_opposite, membership, star
@@ -55,26 +55,13 @@ def _load_cartan(args) -> CartanMatrix:
     return cartan_builtin(args.type, args.rank)
 
 
-def _threads_cap() -> int:
-    raw = os.environ.get("CRYSTAL_POLYTOPE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"CRYSTAL_POLYTOPE_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise ValueError("CRYSTAL_POLYTOPE_THREADS must be at least 1")
-    return cap
-
-
 def _emit(args, meta: dict, data: dict, csv_rows) -> None:
     if args.format == "json":
         print(json.dumps({"meta": meta, "data": data}, sort_keys=True))
     elif args.format == "csv":
         for row in csv_rows:
             print(",".join(str(x) for x in row))
-    else:  # hrep-text is validated per-subcommand before dispatch
+    else:  # hrep-text, which only delta-hrep offers
         for line in data["hrep_text"]:
             print(line)
 
@@ -84,7 +71,7 @@ def _points_payload(args, meta, pts) -> None:
     _emit(args, meta, data, pts)
 
 
-def _form_json(f, rank: int, r: int) -> dict:
+def _form_json(f, r: int) -> dict:
     return {
         "const_abs": f.const,
         "const_lambda": list(f.lam_coeffs),
@@ -104,61 +91,61 @@ def _xi_for(spec, args):
     return generate_xi(spec, window, max_rounds=args.depth)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = _Parser(prog="crystal-polytope")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def base_flags(p, need_word=True, need_lambda=False):
+    def chart_command(name, summary, need_lambda=False, closure=False, formats=("json", "csv")):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--type", choices=list("ABCDEFG"))
         p.add_argument("--rank", type=int)
         p.add_argument("--gcm", help="JSON file with Cartan matrix rows")
-        if need_word:
-            p.add_argument("--word", type=_csv_ints, required=True,
-                           help="letters in application order, j_1 first")
+        p.add_argument("--word", type=_csv_ints, required=True,
+                       help="letters in application order, j_1 first")
         if need_lambda:
             p.add_argument("--lambda", dest="lam", type=_csv_ints, required=True,
                            help="dominant weight coordinates")
-        p.add_argument("--format", choices=["json", "csv", "hrep-text"], default="json")
-        p.add_argument("--window", type=int, default=None,
-                       help="closure scan window (default: word length)")
-        p.add_argument("--depth", type=int, default=50,
-                       help="closure round cap")
+        p.add_argument("--format", choices=list(formats), default="json")
+        if closure:
+            p.add_argument("--window", type=int, default=None,
+                           help="closure scan window (default: word length)")
+            p.add_argument("--depth", type=int, default=50,
+                           help="closure round cap")
+        return p
 
-    p = sub.add_parser("enumerate", help="crystal slice coordinates by operator sweep")
-    base_flags(p, need_lambda=True)
-    p = sub.add_parser("delta-points", help="lattice points of the certified system")
-    base_flags(p, need_lambda=True)
-    p = sub.add_parser("delta-hrep", help="inequality system for the twisted polytope")
-    base_flags(p, need_lambda=True)
-    p = sub.add_parser("string-points", help="string data of the crystal slice")
-    base_flags(p, need_lambda=True)
-    p = sub.add_parser("eta", help="star involution in embedding coordinates")
-    base_flags(p)
+    chart_command("enumerate", "crystal slice coordinates by operator sweep", need_lambda=True)
+    chart_command("delta-points", "lattice points of the certified system",
+                  need_lambda=True, closure=True)
+    chart_command("delta-hrep", "inequality system for the twisted polytope",
+                  need_lambda=True, closure=True, formats=("json", "csv", "hrep-text"))
+    chart_command("string-points", "string data of the crystal slice", need_lambda=True)
+    p = chart_command("eta", "star involution in embedding coordinates")
     p.add_argument("--point", type=_csv_ints, required=True)
     p.add_argument("--opposite", action="store_true",
                    help="use the reversed-word string chart instead")
-    p = sub.add_parser("star", help="star partner coordinates")
-    base_flags(p)
+    p = chart_command("star", "star partner coordinates")
     p.add_argument("--point", type=_csv_ints, required=True)
-    p = sub.add_parser("ample", help="certify the closure and test the weight")
-    base_flags(p, need_lambda=True)
+    chart_command("ample", "certify the closure and test the weight",
+                  need_lambda=True, closure=True)
     p = sub.add_parser("valuation", help="highest-term valuation of a polynomial")
     p.add_argument("--vars", type=int, required=True)
     p.add_argument("--order", choices=["hi", "tilde"], required=True)
     p.add_argument("--poly", required=True)
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p = sub.add_parser("matrix", help="unipotent product in the built-in matrix model")
-    base_flags(p)
-    p = sub.add_parser("theorem-check", help="cross-validation battery; exit 2 on mismatch")
-    base_flags(p, need_lambda=True)
+    chart_command("matrix", "unipotent product in the built-in matrix model")
+    p = chart_command("theorem-check", "cross-validation battery; exit 2 on mismatch",
+                      need_lambda=True, closure=True)
     p.add_argument("--k-max", type=int, default=2)
     p.add_argument("--degree-cap", type=int, default=None,
                    help="also check values of the product closure up to this degree")
+    return parser
 
-    args = parser.parse_args(argv)
 
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
-        _threads_cap()
         return _dispatch(args)
     except (ValueError, OSError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -186,8 +173,6 @@ def _dispatch(args) -> int:
     meta = {"word": list(word.letters),
             "lambda": list(lam.coords) if lam else None,
             "convention": CONVENTION}
-    if args.format == "hrep-text" and args.command != "delta-hrep":
-        raise ValueError("hrep-text format is only available for delta-hrep")
 
     if args.command == "enumerate":
         pts = enumerate_demazure(cartan, word, lam).sorted_coords()
@@ -203,7 +188,7 @@ def _dispatch(args) -> int:
     if args.command == "delta-hrep":
         xi = _xi_for(spec, args)
         r = len(word.letters)
-        system = normalize(delta_hrep(xi, r, lam), remove_redundant=True)
+        system = normalize(delta_hrep(xi, r, lam))
         forms = delta_forms(xi, r)
         lines = []
         for coeffs, const in system.rows:
@@ -212,7 +197,7 @@ def _dispatch(args) -> int:
             parts.extend(f"{c}*a{p + 1}" for p, c in enumerate(coeffs))
             lines.append(" + ".join(parts) + " >= 0")
         data = {
-            "forms": [_form_json(f, cartan.rank, r) for f in forms],
+            "forms": [_form_json(f, r) for f in forms],
             "rows": [[list(coeffs), const] for coeffs, const in system.rows],
             "hrep_text": lines,
         }

@@ -43,13 +43,7 @@ class GradedPointSet:
 
     word: ReducedWord
     lam: WeightVec
-    levels: tuple  # tuple of (k, frozenset) pairs
-
-    def level(self, k: int) -> frozenset:
-        for kk, pts in self.levels:
-            if kk == k:
-                return pts
-        raise KeyError(k)
+    levels: dict  # k -> frozenset of coordinate vectors
 
 
 def _validate(cartan: CartanMatrix, word: ReducedWord, lam: WeightVec) -> None:
@@ -126,11 +120,8 @@ def semigroup_points(
 ) -> GradedPointSet:
     """Coordinate sets of the slices at the scaled weights k*lam, k = 0..k_max."""
     _validate(cartan, word, lam)
-    levels = []
-    for k in range(k_max + 1):
-        scaled = lam.scale(k)
-        levels.append((k, btilde_cut(cartan, word, scaled).coords))
-    return GradedPointSet(word, lam, tuple(levels))
+    levels = {k: btilde_cut(cartan, word, lam.scale(k)).coords for k in range(k_max + 1)}
+    return GradedPointSet(word, lam, levels)
 
 
 def string_points(cartan: CartanMatrix, word: ReducedWord, lam: WeightVec) -> frozenset:

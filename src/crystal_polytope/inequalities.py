@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .polytope import HalfSpaceSystem, system_from_forms
 from .rootdata import WeightVec
 from .zcrystal import SequenceSpec
 
@@ -73,15 +74,6 @@ class AffineForm:
 
     def sort_key(self):
         return (self.coeffs, self.lam_coeffs, self.const)
-
-    def text(self, rank: int, r: int) -> str:
-        """Fixed-width rendering: const, every weight slot, every position up to r."""
-        parts = [str(self.const)]
-        for i in range(1, rank + 1):
-            parts.append(f"{self.lam_coeffs[i - 1]}*L{i}")
-        for p in range(1, r + 1):
-            parts.append(f"{self.coefficient(p)}*a{p}")
-        return " + ".join(parts) + " >= 0"
 
 
 def var_form(spec: SequenceSpec, k: int) -> AffineForm:
@@ -150,9 +142,6 @@ class XiSet:
     stabilized: bool
     certified: bool
 
-    def sorted_forms(self) -> list:
-        return sorted(self.forms, key=lambda f: f.sort_key())
-
 
 def _close(spec: SequenceSpec, window: int, max_rounds: int):
     forms = set(f for f in seed_forms(spec, window) if not f.is_zero())
@@ -185,8 +174,7 @@ def generate_xi(spec: SequenceSpec, window: int, max_rounds: int = 50) -> XiSet:
     if stabilized:
         bumped, stab2 = _close(spec, window + spec.cartan.rank, max_rounds)
         if stab2:
-            restrict = lambda fs: {g for g in (f.restrict(r) for f in fs) if not g.is_zero()}
-            certified = restrict(forms) == restrict(bumped)
+            certified = _restricted(forms, r) == _restricted(bumped, r)
     return XiSet(spec, window, frozenset(forms), stabilized, certified)
 
 
@@ -199,26 +187,24 @@ def ample_check(xi: XiSet, lam: WeightVec) -> bool:
     return all(f.constant_at(lam) >= 0 for f in xi.forms)
 
 
+def _restricted(forms, r: int) -> set:
+    """The nonzero restrictions of the forms to the first r positions."""
+    return {g for g in (f.restrict(r) for f in forms) if not g.is_zero()}
+
+
 def delta_forms(xi: XiSet, r: int) -> list:
     """Closure forms restricted to the first r positions, deduplicated."""
-    seen = {g for g in (f.restrict(r) for f in xi.forms) if not g.is_zero()}
-    return sorted(seen, key=lambda f: f.sort_key())
+    return sorted(_restricted(xi.forms, r), key=lambda f: f.sort_key())
 
 
-def delta_hrep(xi: XiSet, r: int, lam: WeightVec):
+def delta_hrep(xi: XiSet, r: int, lam: WeightVec) -> HalfSpaceSystem:
     """Concrete half-space rows (coeffs, const) for the weight-instantiated system.
 
     Raises when the weight fails the ampleness check; enumeration
     through the crystal sweep is the fallback for such weights.
     """
-    from .polytope import HalfSpaceSystem
-
     if not ample_check(xi, lam):
         raise ValueError(
             "weight fails the ampleness check; fall back to direct crystal enumeration"
         )
-    rows = []
-    for f in delta_forms(xi, r):
-        coeffs = tuple(f.coefficient(p) for p in range(1, r + 1))
-        rows.append((coeffs, f.constant_at(lam)))
-    return HalfSpaceSystem.make(r, rows)
+    return system_from_forms(delta_forms(xi, r), r, lam)

@@ -15,6 +15,8 @@ from math import ceil, floor, gcd
 
 from .rootdata import WeightVec
 
+BOX_ROUNDS = 100  # cap on the interval propagation rounds of bounding_box
+
 
 @dataclass(frozen=True)
 class HalfSpaceSystem:
@@ -37,13 +39,6 @@ class HalfSpaceSystem:
         return all(sum(c * x for c, x in zip(coeffs, point)) + const >= 0
                    for coeffs, const in self.rows)
 
-    def text_lines(self) -> list[str]:
-        lines = []
-        for coeffs, const in self.rows:
-            terms = [str(const)] + [f"{c}*a{j + 1}" for j, c in enumerate(coeffs)]
-            lines.append(" + ".join(terms) + " >= 0")
-        return lines
-
 
 @dataclass(frozen=True)
 class LatticeBox:
@@ -60,7 +55,7 @@ class LatticeBox:
         return out
 
 
-def bounding_box(system: HalfSpaceSystem, max_rounds: int = 100) -> LatticeBox:
+def bounding_box(system: HalfSpaceSystem) -> LatticeBox:
     """Exact interval propagation until the per-variable bounds stop moving.
 
     Each round tightens one variable against each row using the current
@@ -76,7 +71,7 @@ def bounding_box(system: HalfSpaceSystem, max_rounds: int = 100) -> LatticeBox:
             return None if hi[j] is None else c * hi[j]
         return None if lo[j] is None else c * lo[j]
 
-    for _ in range(max_rounds):
+    for _ in range(BOX_ROUNDS):
         changed = False
         for coeffs, const in system.rows:
             for j, cj in enumerate(coeffs):
@@ -112,10 +107,9 @@ def bounding_box(system: HalfSpaceSystem, max_rounds: int = 100) -> LatticeBox:
     return LatticeBox(tuple(lo), tuple(hi))
 
 
-def lattice_points(system: HalfSpaceSystem, box: LatticeBox | None = None) -> list:
-    """All integer points of the system, sorted; brute filter over the box."""
-    if box is None:
-        box = bounding_box(system)
+def lattice_points(system: HalfSpaceSystem) -> list:
+    """All integer points of the system, sorted; brute filter over its bounding box."""
+    box = bounding_box(system)
     if any(h < l for l, h in zip(box.lo, box.hi)):
         return []
     return sorted(p for p in box.points() if system.satisfied(p))
@@ -139,7 +133,7 @@ def compare_levels(points, forms, lam: WeightVec) -> dict:
     """
     r = len(points.word.letters)
     out = {}
-    for k, pts in points.levels:
+    for k, pts in points.levels.items():
         system = system_from_forms(forms, r, lam.scale(k))
         try:
             out[k] = sorted(pts) == lattice_points(system)
@@ -159,8 +153,8 @@ def _row_reduce(coeffs: tuple, const: int):
     return coeffs, const
 
 
-def normalize(system: HalfSpaceSystem, remove_redundant: bool = False) -> HalfSpaceSystem:
-    """Scale rows to primitive form, dedup, optionally drop implied rows.
+def normalize(system: HalfSpaceSystem) -> HalfSpaceSystem:
+    """Scale rows to primitive form, dedup, and drop implied rows.
 
     Redundancy is decided exactly: a row is dropped when its minimum
     over the remaining rows' polyhedron is nonnegative (rational
@@ -173,14 +167,12 @@ def normalize(system: HalfSpaceSystem, remove_redundant: bool = False) -> HalfSp
             continue
         if row not in seen:
             seen.append(row)
-    if remove_redundant:
-        kept = list(seen)
-        for row in list(kept):
-            others = [r for r in kept if r != row]
-            if _implied_by(others, row, system.dim):
-                kept = others
-        seen = kept
-    return HalfSpaceSystem.make(system.dim, sorted(seen))
+    kept = list(seen)
+    for row in seen:
+        others = [r for r in kept if r != row]
+        if _implied_by(others, row, system.dim):
+            kept = others
+    return HalfSpaceSystem.make(system.dim, sorted(kept))
 
 
 def _implied_by(rows, row, dim: int) -> bool:

@@ -15,6 +15,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -83,24 +84,10 @@ class CartanMatrix:
                         stack.append(j)
                     elif d[j] != want:
                         return None
-        denom_lcm = 1
-        for x in d:
-            denom_lcm = _lcm(denom_lcm, x.denominator)
+        denom_lcm = math.lcm(*(x.denominator for x in d))
         ints = [int(x * denom_lcm) for x in d]
-        g = 0
-        for x in ints:
-            g = _gcd(g, x)
+        g = math.gcd(*ints)
         return tuple(x // g for x in ints)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // _gcd(a, b) if a and b else max(a, b)
 
 
 @dataclass(frozen=True)

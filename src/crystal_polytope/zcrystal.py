@@ -65,9 +65,6 @@ class ZElement:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def total(self) -> int:
-        return sum(v for _, v in self.entries)
-
     def coords(self, length: int) -> tuple[int, ...]:
         dense = [0] * length
         for p, v in self.entries:
@@ -132,15 +129,6 @@ class SequenceSpec:
             if pos == k:
                 return cand
 
-    def letters_upto(self, K: int) -> tuple[int, ...]:
-        return tuple(self.letter(k) for k in range(1, K + 1))
-
-    def pairing(self, i: int, j: int) -> int:
-        return self.cartan.pairing(i, j)
-
-    def positions_of_letter(self, i: int, K: int) -> list[int]:
-        return [k for k in range(1, K + 1) if self.letter(k) == i]
-
     def next_same_letter(self, k: int) -> int:
         """Smallest position above k carrying the same letter."""
         target = self.letter(k)
@@ -170,7 +158,7 @@ def sigma_k(spec: SequenceSpec, x: ZElement, k: int) -> int:
     acc = x.get(k)
     for pos, val in x.entries:
         if pos > k:
-            acc += spec.pairing(i, spec.letter(pos)) * val
+            acc += spec.cartan.pairing(i, spec.letter(pos)) * val
     return acc
 
 
@@ -223,12 +211,6 @@ def wt(spec: SequenceSpec, x: ZElement) -> RootCombo:
 def phi(spec: SequenceSpec, x: ZElement, i: int) -> int:
     w = root_to_weight(spec.cartan, wt(spec, x))
     return eps(spec, x, i) + w[i]
-
-
-def eps_phi_wt(spec: SequenceSpec, x: ZElement, i: int) -> tuple[int, int, RootCombo]:
-    e = eps(spec, x, i)
-    w = wt(spec, x)
-    return e, e + root_to_weight(spec.cartan, w)[i], w
 
 
 def etilde(spec: SequenceSpec, x: ZElement, i: int) -> ZElement | None:

@@ -7,9 +7,7 @@ import pytest
 from crystal_polytope import cli
 
 
-def run(capsys, argv, env_threads=None, monkeypatch=None):
-    if env_threads is not None:
-        monkeypatch.setenv("CRYSTAL_POLYTOPE_THREADS", env_threads)
+def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -165,24 +163,26 @@ def test_usage_errors_exit_one(capsys):
     assert run(capsys, ["enumerate", "--word", "1,2,1", "--lambda", "1,1"])[0] == 1
     assert run(capsys, ["eta", "--type", "A", "--rank", "2", "--word", "1,2,1",
                         "--point", "0,0,1"])[0] == 1  # not a member
-    assert run(capsys, ["enumerate", "--type", "A", "--rank", "2",
-                        "--word", "1,2,1", "--lambda", "1,1",
-                        "--format", "hrep-text"])[0] == 1
+    # options a subcommand does not take are usage errors
+    for argv in (["enumerate", "--type", "A", "--rank", "2", "--word", "1,2,1",
+                  "--lambda", "1,1", "--format", "hrep-text"],
+                 ["enumerate", "--type", "A", "--rank", "2", "--word", "1,2,1",
+                  "--lambda", "1,1", "--window", "3"],
+                 ["star", "--type", "C", "--rank", "2", "--word", "1,2,1,2",
+                  "--point", "0,1,2,1", "--depth", "5"],
+                 ["string-points", "--type", "A", "--rank", "2", "--word", "1,2,1",
+                  "--lambda", "1,1", "--format", "hrep-text"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 1
     capsys.readouterr()
-
-
-def test_threads_env_validation(capsys, monkeypatch):
+    # a usage error leaves the process able to serve the next call
     code, out, _ = run(capsys, ["valuation", "--vars", "1", "--order", "hi",
-                                "--poly", "t1", "--format", "csv"],
-                       env_threads="4", monkeypatch=monkeypatch)
+                                "--poly", "t1", "--format", "csv"])
     assert code == 0 and out.strip() == "-1"
-    code, _, err = run(capsys, ["valuation", "--vars", "1", "--order", "hi",
-                                "--poly", "t1"],
-                       env_threads="zero", monkeypatch=monkeypatch)
-    assert code == 1 and "CRYSTAL_POLYTOPE_THREADS" in err
 
 
 def test_gcm_file_equivalent_to_builtin(capsys, tmp_path):

@@ -72,10 +72,10 @@ def test_validation_rejects_bad_inputs():
 
 def test_semigroup_levels_scale_the_weight():
     graded = semigroup_points(A2, W_A2, RHO2, 2)
-    assert graded.level(0) == frozenset({(0, 0, 0)})
-    assert len(graded.level(1)) == 8
-    assert len(graded.level(2)) == 27
-    assert graded.level(1) <= graded.level(2)  # dilation is monotone here
+    assert graded.levels[0] == frozenset({(0, 0, 0)})
+    assert len(graded.levels[1]) == 8
+    assert len(graded.levels[2]) == 27
+    assert graded.levels[1] <= graded.levels[2]  # dilation is monotone here
 
 
 def test_string_points_a2_rho_golden():

@@ -69,7 +69,7 @@ def test_normalize_drops_trivial_rows():
 def test_normalize_remove_redundant():
     # x >= 0, x <= 1, and the implied x + 5 >= 0
     system = HalfSpaceSystem.make(1, [((1,), 0), ((-1,), 1), ((1,), 5)])
-    cleaned = normalize(system, remove_redundant=True)
+    cleaned = normalize(system)
     assert cleaned.rows == (((-1,), 1), ((1,), 0))
 
 
@@ -101,8 +101,3 @@ def test_compare_levels_rejects_wrong_forms():
     wrong = [AffineForm.make({1: -1}, (0, 0), 0)]  # -a_1 >= 0 excludes points
     verdict = compare_levels(graded, wrong, RHO2)
     assert verdict[1] is False
-
-
-def test_half_space_text_lines_shape():
-    system = HalfSpaceSystem.make(2, [((1, -1), 3)])
-    assert system.text_lines() == ["3 + 1*a1 + -1*a2 >= 0"]
