@@ -23,7 +23,7 @@ def membership(spec: SequenceSpec, x: ZElement) -> bool:
     """Greedy raising terminates at zero exactly on image elements."""
     cur = x
     while True:
-        if any(v < 0 for _, v in cur.entries):
+        if any(v < 0 for v in cur.values):
             return False
         if cur.is_zero():
             return True

@@ -20,7 +20,8 @@ from .demazure import btilde_cut, enumerate_demazure, semigroup_points, string_p
 from .inequalities import ample_check, delta_forms, delta_hrep, generate_xi
 from .polytope import compare_levels, lattice_points, normalize
 from .rootdata import (CartanMatrix, ReducedWord, WeightVec, cartan_builtin,
-                       is_reduced, num_positive_roots, weyl_dim_oracle)
+                       complete_to_longest, is_reduced, num_positive_roots,
+                       weyl_dim_oracle)
 from .valuation import (ValuationOrder, builtin_generators, parse_poly, restrict_span,
                         section_span, unipotent_product, value, value_set_of_span)
 from .zcrystal import SequenceSpec, ZElement
@@ -88,7 +89,7 @@ def _require_member(spec, coords) -> ZElement:
 
 def _xi_for(spec, args):
     window = args.window if args.window is not None else len(spec.base.letters)
-    return generate_xi(spec, window, max_rounds=args.depth)
+    return generate_xi(spec, window)
 
 
 @functools.cache
@@ -111,8 +112,6 @@ def _parser() -> _Parser:
         if closure:
             p.add_argument("--window", type=int, default=None,
                            help="closure scan window (default: word length)")
-            p.add_argument("--depth", type=int, default=50,
-                           help="closure round cap")
         return p
 
     chart_command("enumerate", "crystal slice coordinates by operator sweep", need_lambda=True)
@@ -281,16 +280,9 @@ def _theorem_check(args, cartan, spec, word, lam, meta) -> int:
         record("eta_string_bijection", image == strung and len(image) == len(dem),
                f"{len(image)} star-chart images vs {len(strung)} string points")
 
-    try:
-        gens = builtin_generators(cartan)
-    except NotImplementedError:
-        gens = None
-    if gens is not None and cartan == cartan_builtin("A", cartan.rank):
-        full = ReducedWord(word.letters) if r == num_positive_roots(cartan) else None
-        if full is None:
-            from .rootdata import complete_to_longest
-            full = complete_to_longest(cartan, word)
-        mat = unipotent_product(full, gens)
+    if cartan == cartan_builtin("A", cartan.rank):
+        full = complete_to_longest(cartan, word)
+        mat = unipotent_product(full, builtin_generators(cartan))
         span = section_span(mat, lam)
         if r < len(full.letters):
             span = restrict_span(span, r)

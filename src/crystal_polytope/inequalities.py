@@ -23,6 +23,8 @@ from .polytope import HalfSpaceSystem, system_from_forms
 from .rootdata import WeightVec
 from .zcrystal import SequenceSpec
 
+CLOSURE_ROUNDS = 50  # cap on the descent rounds of one closure
+
 
 @dataclass(frozen=True)
 class AffineForm:
@@ -143,9 +145,9 @@ class XiSet:
     certified: bool
 
 
-def _close(spec: SequenceSpec, window: int, max_rounds: int):
+def _close(spec: SequenceSpec, window: int):
     forms = set(f for f in seed_forms(spec, window) if not f.is_zero())
-    for _ in range(max_rounds):
+    for _ in range(CLOSURE_ROUNDS):
         fresh = set()
         for psi in forms:
             for k in range(1, window + 1):
@@ -158,7 +160,7 @@ def _close(spec: SequenceSpec, window: int, max_rounds: int):
     return forms, False
 
 
-def generate_xi(spec: SequenceSpec, window: int, max_rounds: int = 50) -> XiSet:
+def generate_xi(spec: SequenceSpec, window: int) -> XiSet:
     """Close the seeds under descent and certify stability of the restriction.
 
     Certification re-runs the closure with the window extended by the
@@ -169,10 +171,10 @@ def generate_xi(spec: SequenceSpec, window: int, max_rounds: int = 50) -> XiSet:
     r = len(spec.base.letters)
     if window < r:
         raise ValueError("window must cover the base word")
-    forms, stabilized = _close(spec, window, max_rounds)
+    forms, stabilized = _close(spec, window)
     certified = False
     if stabilized:
-        bumped, stab2 = _close(spec, window + spec.cartan.rank, max_rounds)
+        bumped, stab2 = _close(spec, window + spec.cartan.rank)
         if stab2:
             certified = _restricted(forms, r) == _restricted(bumped, r)
     return XiSet(spec, window, frozenset(forms), stabilized, certified)

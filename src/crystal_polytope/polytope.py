@@ -143,10 +143,7 @@ def compare_levels(points, forms, lam: WeightVec) -> dict:
 
 
 def _row_reduce(coeffs: tuple, const: int):
-    g = 0
-    for c in coeffs:
-        g = gcd(g, abs(c))
-    g = gcd(g, abs(const))
+    g = gcd(*coeffs, const)
     if g > 1:
         coeffs = tuple(c // g for c in coeffs)
         const = const // g

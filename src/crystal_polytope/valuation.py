@@ -183,8 +183,7 @@ def value(f: MultiPoly, order: ValuationOrder) -> tuple:
     if f.is_zero():
         raise ValueError("valuation of zero is undefined")
     e, _ = f.leading(order)
-    seq = e if order is ValuationOrder.HI else tuple(reversed(e))
-    return tuple(-x for x in seq)
+    return tuple(-x for x in _order_key(order, e))
 
 
 def value_quot(num: MultiPoly, den: MultiPoly, order: ValuationOrder) -> tuple:
@@ -387,12 +386,10 @@ def products_closure(polys: list, degree_cap: int) -> list:
     """All products of the generators with total degree at most the cap.
 
     Includes the empty product.  Backtracking over multisets, pruning by
-    degree; generators of degree zero are rejected to guarantee
-    termination.
+    degree; generators of degree zero (constants, zero among them) are
+    rejected to guarantee termination.
     """
-    gens = [f for f in polys if not f.is_zero()]
-    if any(f.total_degree() == 0 for f in gens):
-        gens = [f for f in gens if f.total_degree() > 0]
+    gens = [f for f in polys if f.total_degree() > 0]
     nvars = polys[0].nvars if polys else 0
     out = []
 
@@ -430,8 +427,4 @@ def value_set_of_span(polys: list, order: ValuationOrder,
                 pivots[e] = g.scale(Fraction(1, 1) / c)
                 break
             g = g.sub(pivots[e].scale(c))
-    out = set()
-    for e in pivots:
-        seq = e if order is ValuationOrder.HI else tuple(reversed(e))
-        out.add(tuple(-x for x in seq))
-    return frozenset(out)
+    return frozenset(tuple(-x for x in _order_key(order, e)) for e in pivots)

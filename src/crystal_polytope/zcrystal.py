@@ -28,60 +28,51 @@ from .rootdata import CartanMatrix, ReducedWord, RootCombo, WeightVec, root_to_w
 class ZElement:
     """Finitely supported integer vector on positions 1, 2, 3, ...
 
-    Canonical form: zero entries are dropped, positions sorted.
+    Canonical form: ``values[p - 1]`` is the entry at position p, dense
+    from position 1, with trailing zeros trimmed.
     """
 
-    entries: tuple[tuple[int, int], ...]
-
-    @staticmethod
-    def from_pairs(pairs) -> "ZElement":
-        cleaned = {}
-        for pos, val in pairs:
-            if pos < 1:
-                raise ValueError("positions are 1-based")
-            if val != 0:
-                cleaned[pos] = cleaned.get(pos, 0) + val
-        return ZElement(tuple(sorted((p, v) for p, v in cleaned.items() if v != 0)))
+    values: tuple[int, ...]
 
     @staticmethod
     def from_coords(coords) -> "ZElement":
         """Build from a dense prefix (a_1, a_2, ..., a_m)."""
-        return ZElement.from_pairs((k + 1, v) for k, v in enumerate(coords))
+        values = tuple(coords)
+        end = len(values)
+        while end and values[end - 1] == 0:
+            end -= 1
+        return ZElement(values[:end])
 
     @staticmethod
     def zero() -> "ZElement":
         return ZElement(())
 
     def get(self, pos: int) -> int:
-        for p, v in self.entries:
-            if p == pos:
-                return v
-        return 0
+        return self.values[pos - 1] if 0 < pos <= len(self.values) else 0
 
     def support_max(self) -> int:
         """Largest position with a nonzero entry; 0 for the zero element."""
-        return self.entries[-1][0] if self.entries else 0
+        return len(self.values)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.values
 
     def coords(self, length: int) -> tuple[int, ...]:
-        dense = [0] * length
-        for p, v in self.entries:
-            if p <= length:
-                dense[p - 1] = v
-            elif v != 0:
-                raise ValueError(f"support reaches position {p} beyond requested length {length}")
-        return tuple(dense)
+        extra = len(self.values) - length
+        if extra > 0:
+            p = length + next(k for k, v in enumerate(self.values[length:], 1) if v)
+            raise ValueError(f"support reaches position {p} beyond requested length {length}")
+        return self.values + (0,) * -extra
 
     def bump(self, pos: int, delta: int) -> "ZElement":
-        return ZElement.from_pairs(self.entries + ((pos, delta),))
+        if pos < 1:
+            raise ValueError("positions are 1-based")
+        values = list(self.values) + [0] * (pos - len(self.values))
+        values[pos - 1] += delta
+        return ZElement.from_coords(values)
 
     def __repr__(self):
-        if not self.entries:
-            return "ZElement(0)"
-        dense = self.coords(self.support_max())
-        return f"ZElement{dense}"
+        return f"ZElement{self.values}" if self.values else "ZElement(0)"
 
 
 @dataclass(frozen=True)
@@ -89,10 +80,10 @@ class SequenceSpec:
     """An infinite index word: a base word followed by a deterministic tail.
 
     The base word is stored in application order.  The tail repeats the
-    cyclic pattern 1, 2, ..., n, skipping any letter that would repeat
-    its immediate predecessor, so every letter occurs infinitely often
-    and adjacent letters differ.  Rank must be at least 2 (with a single
-    letter no sequence can avoid immediate repeats).
+    cyclic pattern 1, 2, ..., n, skipping its first letter when that
+    would repeat the base word's last letter, so every letter occurs
+    infinitely often and adjacent letters differ.  Rank must be at least
+    2 (with a single letter no sequence can avoid immediate repeats).
     """
 
     cartan: CartanMatrix
@@ -115,19 +106,8 @@ class SequenceSpec:
         base = self.base.letters
         if k <= len(base):
             return base[k - 1]
-        n = self.cartan.rank
-        prev = base[-1] if base else 0
-        pos = len(base)
-        cycle = 0
-        while True:
-            cand = cycle % n + 1
-            cycle += 1
-            if cand == prev:
-                continue
-            pos += 1
-            prev = cand
-            if pos == k:
-                return cand
+        skip = 1 if base and base[-1] == 1 else 0
+        return (k - len(base) - 1 + skip) % self.cartan.rank + 1
 
     def next_same_letter(self, k: int) -> int:
         """Smallest position above k carrying the same letter."""
@@ -156,43 +136,45 @@ def sigma_k(spec: SequenceSpec, x: ZElement, k: int) -> int:
     """x_k plus the pairing-weighted sum of all later entries."""
     i = spec.letter(k)
     acc = x.get(k)
-    for pos, val in x.entries:
-        if pos > k:
-            acc += spec.cartan.pairing(i, spec.letter(pos)) * val
+    for pos, val in enumerate(x.values[k:], k + 1):
+        acc += spec.cartan.pairing(i, spec.letter(pos)) * val
     return acc
-
-
-def _scan_window(spec: SequenceSpec, x: ZElement) -> int:
-    """Positions to scan: past the support and the base, plus one tail cycle.
-
-    Beyond the support every sigma_k is zero, and the tail shows every
-    letter within any rank + 1 consecutive positions, so this window
-    exposes, for each letter, at least one position attaining the zero
-    tail value.  The base word must be cleared too: it may omit letters
-    entirely, and their first positions sit in the tail.
-    """
-    return max(x.support_max(), len(spec.base.letters)) + spec.cartan.rank + 1
 
 
 def letter_max(spec: SequenceSpec, x: ZElement, i: int) -> tuple[int, list[int]]:
     """Max of sigma over positions with letter i, and the attaining positions.
 
-    The max is always >= 0.  The returned position list covers the scan
-    window only; when the max is 0 the true attaining set is infinite
-    and the list still contains its minimum.
+    One backward pass keeps the pairing-weighted sum of the entries after
+    the current position, so every sigma_k of letter i costs one step.
+    The pass scans past the support and the base word, plus one tail
+    cycle: beyond the support every sigma_k is zero, and the tail shows
+    every letter within any rank + 1 consecutive positions, so this
+    window exposes, for each letter, at least one position attaining the
+    zero tail value.  The base word must be cleared too: it may omit
+    letters entirely, and their first positions sit in the tail.
+
+    The max is always >= 0.  The returned positions are increasing and
+    cover the scan window only; when the max is 0 the true attaining set
+    is infinite and the list still contains its minimum.
     """
+    values = x.values
+    m = len(values)
+    letter, pairing = spec.letter, spec.cartan.pairing
     best = 0
-    window = _scan_window(spec, x)
     hits: list[int] = []
-    for k in range(1, window + 1):
-        if spec.letter(k) != i:
-            continue
-        s = sigma_k(spec, x, k)
-        if s > best:
-            best = s
-            hits = [k]
-        elif s == best:
-            hits.append(k)
+    after = 0
+    for k in range(max(m, len(spec.base.letters)) + spec.cartan.rank + 1, 0, -1):
+        l = letter(k)
+        v = values[k - 1] if k <= m else 0
+        if l == i:
+            s = v + after
+            if s > best:
+                best = s
+                hits = [k]
+            elif s == best:
+                hits.append(k)
+        after += pairing(i, l) * v
+    hits.reverse()
     return best, hits
 
 
@@ -203,7 +185,7 @@ def eps(spec: SequenceSpec, x: ZElement, i: int) -> int:
 def wt(spec: SequenceSpec, x: ZElement) -> RootCombo:
     """Weight as a root-lattice element: minus the letter-weighted entry sums."""
     coeffs = [0] * spec.cartan.rank
-    for pos, val in x.entries:
+    for pos, val in enumerate(x.values, 1):
         coeffs[spec.letter(pos) - 1] -= val
     return RootCombo(tuple(coeffs))
 

@@ -170,6 +170,8 @@ def test_usage_errors_exit_one(capsys):
                   "--lambda", "1,1", "--window", "3"],
                  ["star", "--type", "C", "--rank", "2", "--word", "1,2,1,2",
                   "--point", "0,1,2,1", "--depth", "5"],
+                 ["delta-points", "--type", "A", "--rank", "2", "--word", "1,2,1",
+                  "--lambda", "1,1", "--depth", "5"],
                  ["string-points", "--type", "A", "--rank", "2", "--word", "1,2,1",
                   "--lambda", "1,1", "--format", "hrep-text"]):
         with pytest.raises(SystemExit) as exc:

@@ -26,6 +26,23 @@ def test_bounding_box_of_the_rho_polytope():
     assert box.hi == (1, 2, 1)
 
 
+@pytest.mark.parametrize("family,rank,word,window,scale", [
+    ("A", 2, (1, 2, 1), 3, 1), ("A", 2, (1, 2, 1), 3, 2),
+    ("C", 2, (1, 2, 1, 2), 4, 1), ("C", 2, (1, 2, 1, 2), 4, 2),
+    ("G", 2, (1, 2, 1, 2, 1, 2), 6, 1), ("G", 2, (1, 2, 1, 2, 1, 2), 6, 2),
+    ("A", 3, (1, 2, 1, 3, 2, 1), 8, 1),
+])
+def test_bounding_box_is_the_lattice_extent(family, rank, word, window, scale):
+    # interval propagation already gives the tight box, so no LP is needed for it
+    cartan = cartan_builtin(family, rank)
+    xi = generate_xi(SequenceSpec(cartan, ReducedWord(word)), window)
+    system = delta_hrep(xi, len(word), rho(rank).scale(scale))
+    box = bounding_box(system)
+    pts = lattice_points(system)
+    assert box.lo == tuple(map(min, zip(*pts)))
+    assert box.hi == tuple(map(max, zip(*pts)))
+
+
 def test_bounding_box_requires_bounded_systems():
     open_cone = HalfSpaceSystem.make(2, [((1, 0), 0), ((0, 1), 0)])
     with pytest.raises(ValueError):

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from crystal_polytope.rootdata import (ReducedWord, WeightVec, cartan_builtin,
                                        root_to_weight, simple_root)
 from crystal_polytope.zcrystal import (LambdaTwist, SequenceSpec, ZElement, eps,
-                                       etilde, etilde_max, ftilde, phi, sigma_k,
-                                       twist_eps, twist_etilde, twist_ftilde,
+                                       etilde, etilde_max, ftilde, letter_max, phi,
+                                       sigma_k, twist_eps, twist_etilde, twist_ftilde,
                                        twist_phi, twist_wt, wt)
 
 A2 = cartan_builtin("A", 2)
@@ -161,3 +161,53 @@ def test_twist_operator_pairing(data, l1, l2):
         assert twist_ftilde(raised, i) == t
         assert twist_eps(raised, i) == twist_eps(t, i) - 1
         assert twist_phi(raised, i) == twist_phi(t, i) + 1
+
+
+def tail_by_steps(base, n, count):
+    """The tail rule one step at a time: cycle 1..n, skipping a repeat of the predecessor."""
+    out = []
+    prev = base[-1] if base else 0
+    cycle = 0
+    while len(out) < count:
+        cand = cycle % n + 1
+        cycle += 1
+        if cand != prev:
+            out.append(cand)
+            prev = cand
+    return out
+
+
+@st.composite
+def base_word(draw):
+    """Rank 2-4 and a base word ending in any letter, or the empty word (last == 0)."""
+    n = draw(st.integers(2, 4))
+    last = draw(st.integers(0, n))
+    letters = []
+    if last:
+        for _ in range(draw(st.integers(0, 5))):
+            nxt = draw(st.integers(1, n))
+            if not letters or nxt != letters[-1]:
+                letters.append(nxt)
+        if letters and letters[-1] == last:
+            letters.pop()
+        letters.append(last)
+    return n, tuple(letters)
+
+
+@settings(max_examples=150, deadline=None)
+@given(base_word())
+def test_letter_matches_the_tail_rule_step_by_step(data):
+    n, base = data
+    spec = SequenceSpec(cartan_builtin("A", n), ReducedWord(base))
+    expected = list(base) + tail_by_steps(base, n, 60)
+    assert [spec.letter(k) for k in range(1, 61)] == expected[:60]
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec_point_letter())
+def test_letter_max_is_the_brute_force_max_of_sigma(data):
+    spec, x, i = data
+    window = max(x.support_max(), len(spec.base.letters)) + spec.cartan.rank + 1
+    sigmas = {k: sigma_k(spec, x, k) for k in range(1, window + 1) if spec.letter(k) == i}
+    best = max([0, *sigmas.values()])
+    assert letter_max(spec, x, i) == (best, [k for k, s in sigmas.items() if s == best])
