@@ -14,7 +14,7 @@ produced here, and the variables ``t_1, ..., t_r`` on the valuation side
 
 from .rootdata import CartanMatrix, WeightVec, RootCombo, ReducedWord, cartan_builtin, weyl_dim_oracle
 from .zcrystal import SequenceSpec, ZElement, LambdaTwist
-from .binfinity import membership, star, eps_star, string_param, eta, eta_opposite
+from .binfinity import membership, star, string_param, eta, eta_opposite
 from .demazure import (DemazureSet, GradedPointSet, enumerate_demazure, btilde_cut,
                        semigroup_points, string_points)
 from .inequalities import AffineForm, XiSet, generate_xi, ample_check, delta_forms, delta_hrep
@@ -37,7 +37,6 @@ __all__ = [
     "LambdaTwist",
     "membership",
     "star",
-    "eps_star",
     "string_param",
     "eta",
     "eta_opposite",

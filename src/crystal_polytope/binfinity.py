@@ -16,7 +16,7 @@ the partner is rebuilt by lowering from zero, top position first.
 from __future__ import annotations
 
 from .rootdata import num_positive_roots, is_reduced
-from .zcrystal import SequenceSpec, ZElement, eps, etilde, etilde_max, ftilde
+from .zcrystal import SequenceSpec, ZElement, etilde, etilde_max, ftilde
 
 
 def membership(spec: SequenceSpec, x: ZElement) -> bool:
@@ -53,11 +53,6 @@ def star(spec: SequenceSpec, x: ZElement) -> ZElement:
     return out
 
 
-def eps_star(spec: SequenceSpec, x: ZElement, i: int) -> int:
-    """Eps of the star partner."""
-    return eps(spec, star(spec, x), i)
-
-
 def string_param(
     spec: SequenceSpec,
     x: ZElement,
@@ -80,15 +75,17 @@ def string_param(
     return tuple(out)
 
 
-def _longest_word_string(spec: SequenceSpec, x: ZElement, direction: tuple[int, ...],
-                         name: str) -> tuple[int, ...]:
-    """String data of a member along a direction word, for a longest-word base."""
+def _longest_word_string(spec: SequenceSpec, x: ZElement,
+                         direction: tuple[int, ...]) -> tuple[int, ...]:
+    """String data of a member along a direction word, for a longest-word base.
+
+    The exhaustive peel is the membership check: raising never increases an
+    entry and lowering undoes it, so reaching zero retraces a lowering path.
+    """
     n = num_positive_roots(spec.cartan)
     if len(spec.base.letters) != n or not is_reduced(spec.cartan, spec.base):
         raise ValueError("base word must be a reduced word for the longest element")
-    if not membership(spec, x):
-        raise ValueError(f"{name} is only defined on image elements")
-    return string_param(spec, x, direction, require_exhaustive=True)[:n]
+    return string_param(spec, x, direction, require_exhaustive=True)
 
 
 def eta(spec: SequenceSpec, x: ZElement) -> tuple[int, ...]:
@@ -98,7 +95,7 @@ def eta(spec: SequenceSpec, x: ZElement) -> tuple[int, ...]:
     members this is an involution, and the result is again a member's
     coordinate vector.
     """
-    return _longest_word_string(spec, x, spec.base.letters, "eta")
+    return _longest_word_string(spec, x, spec.base.letters)
 
 
 def eta_opposite(spec: SequenceSpec, x: ZElement) -> tuple[int, ...]:
@@ -109,4 +106,4 @@ def eta_opposite(spec: SequenceSpec, x: ZElement) -> tuple[int, ...]:
     two charts (not an involution), and it is the map some closed-form
     tables describe for non-palindromic words.
     """
-    return _longest_word_string(spec, x, tuple(reversed(spec.base.letters)), "eta_opposite")
+    return _longest_word_string(spec, x, tuple(reversed(spec.base.letters)))

@@ -44,13 +44,26 @@ def _csv_ints(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _nonneg_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 def _load_cartan(args) -> CartanMatrix:
     if args.gcm:
         with open(args.gcm) as fh:
             rows = json.load(fh)
         if isinstance(rows, dict):
-            rows = rows["rows"]
-        return CartanMatrix(tuple(tuple(int(v) for v in row) for row in rows))
+            rows = rows.get("rows")
+        if not (isinstance(rows, list) and all(
+                isinstance(row, list) and all(type(v) is int for v in row) for row in rows)):
+            raise ValueError(f"{args.gcm}: expected a JSON list of integer rows")
+        return CartanMatrix(tuple(tuple(row) for row in rows))
     if not args.type or args.rank is None:
         raise ValueError("provide --type and --rank, or --gcm FILE")
     return cartan_builtin(args.type, args.rank)
@@ -136,8 +149,8 @@ def _parser() -> _Parser:
     chart_command("matrix", "unipotent product in the built-in matrix model")
     p = chart_command("theorem-check", "cross-validation battery; exit 2 on mismatch",
                       need_lambda=True, closure=True)
-    p.add_argument("--k-max", type=int, default=2)
-    p.add_argument("--degree-cap", type=int, default=None,
+    p.add_argument("--k-max", type=_nonneg_int, default=2)
+    p.add_argument("--degree-cap", type=_nonneg_int, default=None,
                    help="also check values of the product closure up to this degree")
     return parser
 

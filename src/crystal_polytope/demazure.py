@@ -4,9 +4,10 @@ Route one sweeps lowering operators stage by stage through the twisted
 crystal: starting from the highest element, stage k closes the set
 under the lowering operator of the k-th letter.  Route two enumerates
 the word-supported part of the big crystal's image and keeps elements
-whose starred eps stays within the weight caps.  Both routes land on
-the same coordinate vectors; the second never consults the twisted
-operators, which is what makes the agreement a real check.
+whose starred eps, the eps of a star partner built once per element,
+stays within the weight caps.  Both routes land on the same coordinate
+vectors; the second never consults the twisted operators, which is
+what makes the agreement a real check.
 
 The starred-eps cut is swept safely because starred eps never decreases
 under a lowering operator, so along a single-letter sweep the first
@@ -17,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .binfinity import eps_star, membership, string_param
+from .binfinity import membership, star, string_param
 from .rootdata import CartanMatrix, ReducedWord, WeightVec, is_reduced, num_positive_roots
-from .zcrystal import LambdaTwist, SequenceSpec, ZElement, ftilde, twist_ftilde
+from .zcrystal import LambdaTwist, SequenceSpec, ZElement, eps, ftilde, twist_ftilde
 
 
 @dataclass(frozen=True)
@@ -86,11 +87,11 @@ def btilde_cut(cartan: CartanMatrix, word: ReducedWord, lam: WeightVec) -> Demaz
     """Word-supported image elements whose starred eps respects the weight caps.
 
     Sweeps the plain sequence-crystal lowering operators stage by stage,
-    starting from zero; a ray is cut at the first element with
-    eps_star exceeding the cap at some letter.  Monotonicity of starred
-    eps under lowering makes the first violation final along a ray, and
-    since a single-letter sweep leaves the starred eps of other letters
-    unchanged, no admissible element is missed.
+    starting from zero; a ray is cut at the first element whose star
+    partner (built once per element) has eps over the cap at some letter.
+    Monotonicity of starred eps under lowering makes the first violation
+    final along a ray, and since a single-letter sweep leaves the starred
+    eps of other letters unchanged, no admissible element is missed.
     """
     _validate(cartan, word, lam)
     spec = SequenceSpec(cartan, word)
@@ -98,7 +99,8 @@ def btilde_cut(cartan: CartanMatrix, word: ReducedWord, lam: WeightVec) -> Demaz
     index_set = cartan.index_set()
 
     def admissible(x: ZElement) -> bool:
-        return all(eps_star(spec, x, i) <= lam[i] for i in index_set)
+        partner = star(spec, x)
+        return all(eps(spec, partner, i) <= lam[i] for i in index_set)
 
     current = {ZElement.zero()}
     for k in range(1, r + 1):

@@ -146,14 +146,12 @@ class XiSet:
 
 
 def _close(spec: SequenceSpec, window: int):
+    # Only the forms found last round are descended: older forms' descents are in already.
     forms = set(f for f in seed_forms(spec, window) if not f.is_zero())
+    fresh = set(forms)
     for _ in range(CLOSURE_ROUNDS):
-        fresh = set()
-        for psi in forms:
-            for k in range(1, window + 1):
-                out = shat(spec, psi, k)
-                if not out.is_zero() and out not in forms:
-                    fresh.add(out)
+        fresh = {out for psi in fresh for k in range(1, window + 1)
+                 if not (out := shat(spec, psi, k)).is_zero() and out not in forms}
         if not fresh:
             return forms, True
         forms |= fresh

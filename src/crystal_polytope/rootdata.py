@@ -15,6 +15,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -136,9 +137,6 @@ class RootCombo:
 
     def minus(self, other: "RootCombo") -> "RootCombo":
         return RootCombo(tuple(a - b for a, b in zip(self.coeffs, other.coeffs, strict=True)))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
 
 def simple_root(rank: int, i: int) -> RootCombo:
@@ -278,11 +276,12 @@ def is_reduced(cartan: CartanMatrix, word: ReducedWord | tuple[int, ...]) -> boo
     return True
 
 
-def positive_roots(cartan: CartanMatrix) -> list[RootCombo]:
+@functools.cache
+def positive_roots(cartan: CartanMatrix) -> tuple[RootCombo, ...]:
     """All positive roots, generated by closing the simple roots under reflections.
 
     Only meaningful for finite type; raises if the closure keeps growing
-    past a generous cap.
+    past a generous cap.  Closed once per Cartan matrix.
     """
     seen: set[tuple[int, ...]] = set()
     frontier = [simple_root(cartan.rank, i) for i in cartan.index_set()]
@@ -300,7 +299,7 @@ def positive_roots(cartan: CartanMatrix) -> list[RootCombo]:
         frontier = nxt
         if len(seen) > cap:
             raise ValueError("root system does not close up; is the matrix of finite type?")
-    return [RootCombo(c) for c in sorted(seen)]
+    return tuple(RootCombo(c) for c in sorted(seen))
 
 
 def num_positive_roots(cartan: CartanMatrix) -> int:
@@ -320,26 +319,17 @@ def weyl_dim_oracle(cartan: CartanMatrix, lam: WeightVec) -> int:
     assert d is not None
     n = cartan.rank
 
-    def form_with_root(coords: tuple[int, ...], root: RootCombo) -> Fraction:
+    def form_with_root(coords: tuple[int, ...], root: RootCombo) -> int:
         # inner product of a weight (fundamental coords) with a root,
         # normalized so that (weight, alpha_i) = d_i * coords_i
-        return Fraction(sum(coords[i] * d[i] * root.coeffs[i] for i in range(n)))
-
-    def root_square(root: RootCombo) -> Fraction:
-        return Fraction(
-            sum(
-                root.coeffs[i] * root.coeffs[j] * d[i] * cartan.rows[i][j]
-                for i in range(n)
-                for j in range(n)
-            )
-        )
+        return sum(coords[i] * d[i] * root.coeffs[i] for i in range(n))
 
     lam_rho = tuple(c + 1 for c in lam.coords)
     rho_c = (1,) * n
     dim = Fraction(1)
     for root in positive_roots(cartan):
-        sq = root_square(root)
-        dim *= (2 * form_with_root(lam_rho, root) / sq) / (2 * form_with_root(rho_c, root) / sq)
+        # each coroot pairing is 2 (weight, root) / (root, root); the factor cancels
+        dim *= Fraction(form_with_root(lam_rho, root), form_with_root(rho_c, root))
     if dim.denominator != 1:
         raise ArithmeticError("dimension formula did not produce an integer")
     return int(dim)

@@ -173,7 +173,12 @@ def test_usage_errors_exit_one(capsys):
                  ["delta-points", "--type", "A", "--rank", "2", "--word", "1,2,1",
                   "--lambda", "1,1", "--depth", "5"],
                  ["string-points", "--type", "A", "--rank", "2", "--word", "1,2,1",
-                  "--lambda", "1,1", "--format", "hrep-text"]):
+                  "--lambda", "1,1", "--format", "hrep-text"],
+                 # negative level and degree bounds would check nothing
+                 ["theorem-check", "--type", "A", "--rank", "2", "--word", "1,2,1",
+                  "--lambda", "1,1", "--k-max", "-1"],
+                 ["theorem-check", "--type", "A", "--rank", "2", "--word", "1,2,1",
+                  "--lambda", "1,1", "--degree-cap", "-3"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 1
@@ -197,6 +202,17 @@ def test_gcm_file_equivalent_to_builtin(capsys, tmp_path):
     assert code1 == code2 == 0
     doc1, doc2 = json.loads(out1), json.loads(out2)
     assert doc1["data"] == doc2["data"]
+
+
+def test_malformed_gcm_file_is_a_data_error(capsys, tmp_path):
+    gcm = tmp_path / "bad.json"
+    for content in ({"foo": 1}, 5, [1, 2], [[2, -1], [-1, "2"]], [[2, -1], [-1, 2.5]]):
+        gcm.write_text(json.dumps(content))
+        code, out, err = run(capsys, ["enumerate", "--gcm", str(gcm),
+                                      "--word", "1,2,1", "--lambda", "1,1"])
+        assert code == 1 and out == "", content
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: {gcm}: expected a JSON list of integer rows"], content
 
 
 def test_output_is_deterministic(capsys):

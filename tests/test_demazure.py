@@ -2,6 +2,7 @@
 
 import pytest
 
+from crystal_polytope import demazure
 from crystal_polytope.demazure import (btilde_cut, enumerate_demazure,
                                        semigroup_points, string_points)
 from crystal_polytope.rootdata import (ReducedWord, WeightVec,
@@ -49,6 +50,27 @@ def test_cut_route_agrees_with_sweep_route():
             left = enumerate_demazure(cartan, word, lam)
             right = btilde_cut(cartan, word, lam)
             assert left.coords == right.coords, (letters, lam)
+
+
+def test_cut_route_builds_one_star_partner_per_element(monkeypatch):
+    G2 = cartan_builtin("G", 2)
+    for cartan, word, lam in ((C2, W_C2, RHO2.scale(2)),
+                              (G2, ReducedWord((1, 2, 1, 2, 1, 2)), RHO2)):
+        expected = btilde_cut(cartan, word, lam).coords
+        calls = {"star": 0, "ftilde": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        with monkeypatch.context() as m:
+            m.setattr(demazure, "star", counting("star", demazure.star))
+            m.setattr(demazure, "ftilde", counting("ftilde", demazure.ftilde))
+            got = btilde_cut(cartan, word, lam).coords
+        assert got == expected == enumerate_demazure(cartan, word, lam).coords
+        assert calls["star"] == calls["ftilde"] > 0, calls
 
 
 def test_sweep_is_word_order_sensitive_but_longest_is_not():

@@ -3,10 +3,10 @@
 import pytest
 
 from crystal_polytope.demazure import enumerate_demazure
-from crystal_polytope.inequalities import (AffineForm, ample_check, delta_forms,
-                                           delta_hrep, generate_xi, lambda_form,
-                                           minus_form, plus_form, seed_forms, shat,
-                                           var_form)
+from crystal_polytope.inequalities import (CLOSURE_ROUNDS, AffineForm, _close, ample_check,
+                                           delta_forms, delta_hrep, generate_xi,
+                                           lambda_form, minus_form, plus_form, seed_forms,
+                                           shat, var_form)
 from crystal_polytope.polytope import lattice_points
 from crystal_polytope.rootdata import ReducedWord, WeightVec, cartan_builtin, rho
 from crystal_polytope.zcrystal import SequenceSpec
@@ -94,6 +94,28 @@ def test_closure_restriction_is_window_insensitive():
     base = set(delta_forms(generate_xi(SPEC_C2, 4), 4))
     wider = set(delta_forms(generate_xi(SPEC_C2, 7), 4))
     assert base == wider
+
+
+def naive_close(spec, window):
+    """Every round descends every form found so far."""
+    forms = {f for f in seed_forms(spec, window) if not f.is_zero()}
+    for _ in range(CLOSURE_ROUNDS):
+        fresh = {shat(spec, psi, k) for psi in forms for k in range(1, window + 1)}
+        fresh = {f for f in fresh if not f.is_zero()} - forms
+        if not fresh:
+            return forms, True
+        forms |= fresh
+    return forms, False
+
+
+@pytest.mark.parametrize("family,rank,letters", [
+    ("A", 2, (1, 2, 1)), ("C", 2, (1, 2, 1, 2)), ("G", 2, (1, 2, 1, 2, 1, 2)),
+    ("A", 3, (1, 2, 1, 3, 2, 1)), ("B", 3, (1, 2, 1, 3, 2, 1, 3, 2, 3)),
+    ("C", 3, (1, 2, 1, 3, 2, 1, 3, 2, 3))])
+def test_closure_descends_only_fresh_forms_to_the_same_result(family, rank, letters):
+    spec = SequenceSpec(cartan_builtin(family, rank), ReducedWord(letters))
+    for window in (len(letters), len(letters) + rank):
+        assert _close(spec, window) == naive_close(spec, window)
 
 
 def test_window_below_word_length_rejected():
