@@ -15,8 +15,7 @@ produced here, and the variables ``t_1, ..., t_r`` on the valuation side
 from .rootdata import CartanMatrix, WeightVec, RootCombo, ReducedWord, cartan_builtin, weyl_dim_oracle
 from .zcrystal import SequenceSpec, ZElement, LambdaTwist
 from .binfinity import membership, star, string_param, eta, eta_opposite
-from .demazure import (DemazureSet, GradedPointSet, enumerate_demazure, btilde_cut,
-                       semigroup_points, string_points)
+from .demazure import DemazureSet, enumerate_demazure, btilde_cut, string_points
 from .inequalities import AffineForm, XiSet, generate_xi, ample_check, delta_forms, delta_hrep
 from .polytope import (HalfSpaceSystem, LatticeBox, bounding_box, lattice_points,
                        compare_levels, normalize)
@@ -41,10 +40,8 @@ __all__ = [
     "eta",
     "eta_opposite",
     "DemazureSet",
-    "GradedPointSet",
     "enumerate_demazure",
     "btilde_cut",
-    "semigroup_points",
     "string_points",
     "AffineForm",
     "XiSet",

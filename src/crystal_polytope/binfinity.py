@@ -37,14 +37,19 @@ def membership(spec: SequenceSpec, x: ZElement) -> bool:
 
 
 def star(spec: SequenceSpec, x: ZElement) -> ZElement:
-    """Star partner of a member: lower from zero using the coordinates, top first.
+    """Star partner of a member; raises ``ValueError`` on a non-member."""
+    if not membership(spec, x):
+        raise ValueError("star is only defined on image elements")
+    return _star_of_member(spec, x)
+
+
+def _star_of_member(spec: SequenceSpec, x: ZElement) -> ZElement:
+    """Star partner of an element the caller knows to be a member.
 
     With coordinates (a_1, ..., a_K) on the index letters, the partner
     is built by a_K lowerings at the top letter, then a_{K-1}, down to
     a_1 lowerings at the first letter.
     """
-    if not membership(spec, x):
-        raise ValueError("star is only defined on image elements")
     out = ZElement.zero()
     for pos in range(x.support_max(), 0, -1):
         i = spec.letter(pos)

@@ -16,7 +16,7 @@ import json
 import sys
 
 from .binfinity import eta, eta_opposite, membership, star
-from .demazure import btilde_cut, enumerate_demazure, semigroup_points, string_points
+from .demazure import btilde_cut, enumerate_demazure, string_points
 from .inequalities import ample_check, delta_forms, delta_hrep, generate_xi
 from .polytope import compare_levels, lattice_points, normalize
 from .rootdata import (CartanMatrix, ReducedWord, WeightVec, cartan_builtin,
@@ -281,8 +281,14 @@ def _theorem_check(args, cartan, spec, word, lam, meta) -> int:
         record("hrep_lattice", pts == dem.sorted_coords(),
                f"{len(pts)} lattice points vs {len(dem)} crystal points")
 
-    graded = semigroup_points(cartan, word, lam, args.k_max)
-    levels = compare_levels(graded, delta_forms(xi, r), lam)
+    cuts = {lam: cut.coords}  # one cut per distinct weight; k*lam repeats when lam = 0
+    graded = {}
+    for k in range(args.k_max + 1):
+        scaled = lam.scale(k)
+        if scaled not in cuts:
+            cuts[scaled] = btilde_cut(cartan, word, scaled).coords
+        graded[k] = cuts[scaled]
+    levels = compare_levels(graded, r, delta_forms(xi, r), lam)
     record("semigroup_levels", all(levels.values()),
            ",".join(f"k={k}:{'ok' if v else 'FAIL'}" for k, v in sorted(levels.items())))
 

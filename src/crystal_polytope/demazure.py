@@ -4,21 +4,24 @@ Route one sweeps lowering operators stage by stage through the twisted
 crystal: starting from the highest element, stage k closes the set
 under the lowering operator of the k-th letter.  Route two enumerates
 the word-supported part of the big crystal's image and keeps elements
-whose starred eps, the eps of a star partner built once per element,
-stays within the weight caps.  Both routes land on the same coordinate
-vectors; the second never consults the twisted operators, which is
-what makes the agreement a real check.
+whose starred eps, the eps of their star partner, stays within the
+weight caps.  Both routes land on the same coordinate vectors; the
+second never consults the twisted operators, which is what makes the
+agreement a real check.
 
 The starred-eps cut is swept safely because starred eps never decreases
 under a lowering operator, so along a single-letter sweep the first
-violation ends the ray.
+violation ends the ray.  Every element the cut decides is reached by
+lowering from zero, so it is a member by construction and its partner
+is built without a membership check, once per distinct element per
+stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .binfinity import membership, star, string_param
+from .binfinity import _star_of_member, membership, string_param
 from .rootdata import CartanMatrix, ReducedWord, WeightVec, is_reduced, num_positive_roots
 from .zcrystal import LambdaTwist, SequenceSpec, ZElement, eps, ftilde, twist_ftilde
 
@@ -36,15 +39,6 @@ class DemazureSet:
 
     def __len__(self) -> int:
         return len(self.coords)
-
-
-@dataclass(frozen=True)
-class GradedPointSet:
-    """Per-level point sets, level k holding the points for the k-fold weight."""
-
-    word: ReducedWord
-    lam: WeightVec
-    levels: dict  # k -> frozenset of coordinate vectors
 
 
 def _validate(cartan: CartanMatrix, word: ReducedWord, lam: WeightVec) -> None:
@@ -88,10 +82,13 @@ def btilde_cut(cartan: CartanMatrix, word: ReducedWord, lam: WeightVec) -> Demaz
 
     Sweeps the plain sequence-crystal lowering operators stage by stage,
     starting from zero; a ray is cut at the first element whose star
-    partner (built once per element) has eps over the cap at some letter.
-    Monotonicity of starred eps under lowering makes the first violation
-    final along a ray, and since a single-letter sweep leaves the starred
-    eps of other letters unchanged, no admissible element is missed.
+    partner has eps over the cap at some letter.  Monotonicity of starred
+    eps under lowering makes the first violation final along a ray, and
+    since a single-letter sweep leaves the starred eps of other letters
+    unchanged, no admissible element is missed.  A ray also stops at an
+    element the stage already holds: the rest of the ray depends on that
+    element alone, and is walked from it, either as a start of the stage
+    or by the ray that added it.
     """
     _validate(cartan, word, lam)
     spec = SequenceSpec(cartan, word)
@@ -99,7 +96,7 @@ def btilde_cut(cartan: CartanMatrix, word: ReducedWord, lam: WeightVec) -> Demaz
     index_set = cartan.index_set()
 
     def admissible(x: ZElement) -> bool:
-        partner = star(spec, x)
+        partner = _star_of_member(spec, x)
         return all(eps(spec, partner, i) <= lam[i] for i in index_set)
 
     current = {ZElement.zero()}
@@ -110,20 +107,11 @@ def btilde_cut(cartan: CartanMatrix, word: ReducedWord, lam: WeightVec) -> Demaz
             y = x
             while True:
                 y = ftilde(spec, y, i)
-                if not admissible(y):
+                if y in swept or not admissible(y):
                     break
                 swept.add(y)
         current = swept
     return DemazureSet(word, lam, frozenset(x.coords(r) for x in current))
-
-
-def semigroup_points(
-    cartan: CartanMatrix, word: ReducedWord, lam: WeightVec, k_max: int
-) -> GradedPointSet:
-    """Coordinate sets of the slices at the scaled weights k*lam, k = 0..k_max."""
-    _validate(cartan, word, lam)
-    levels = {k: btilde_cut(cartan, word, lam.scale(k)).coords for k in range(k_max + 1)}
-    return GradedPointSet(word, lam, levels)
 
 
 def string_points(cartan: CartanMatrix, word: ReducedWord, lam: WeightVec) -> frozenset:

@@ -47,9 +47,6 @@ class AffineForm:
                 return c
         return 0
 
-    def support_max(self) -> int:
-        return max((p for p, _ in self.coeffs), default=0)
-
     def minus(self, other: "AffineForm", mult: int = 1) -> "AffineForm":
         d = dict(self.coeffs)
         for p, c in other.coeffs:

@@ -124,16 +124,17 @@ def system_from_forms(forms, r: int, lam: WeightVec) -> HalfSpaceSystem:
     return HalfSpaceSystem.make(r, rows)
 
 
-def compare_levels(points, forms, lam: WeightVec) -> dict:
+def compare_levels(levels: dict, r: int, forms, lam: WeightVec) -> dict:
     """Per level: do the level-k points equal the lattice points at weight k*lam?
+
+    ``levels`` maps k to the set of length-r coordinate vectors at k*lam.
 
     A system that fails to bound every coordinate has infinitely many
     rational solutions, so it cannot match a finite level set; such a
     level is reported as a mismatch rather than an error.
     """
-    r = len(points.word.letters)
     out = {}
-    for k, pts in points.levels.items():
+    for k, pts in levels.items():
         system = system_from_forms(forms, r, lam.scale(k))
         try:
             out[k] = sorted(pts) == lattice_points(system)

@@ -257,12 +257,14 @@ class ReducedWord:
         return ReducedWord(tuple(reversed(self.letters)))
 
 
+@functools.cache
 def is_reduced(cartan: CartanMatrix, word: ReducedWord | tuple[int, ...]) -> bool:
     """True when the word's length equals the length of its Weyl element.
 
     Criterion: with letters applied first-to-last, the word stays reduced
     exactly when each next letter's simple root is sent to a positive
     root by the composite of the earlier reflections applied in reverse.
+    Decided once per Cartan matrix and word.
     """
     letters = tuple(word)
     if any(not 1 <= l <= cartan.rank for l in letters):

@@ -142,6 +142,85 @@ def test_theorem_check_passes_c2(capsys):
     assert {"route_agreement", "ample", "semigroup_levels"} <= names
 
 
+# Exact theorem-check stdout at default flags.  The battery's output is
+# kept byte-identical unless a change says why it moved.
+THEOREM_CHECK_STDOUT = {
+    ("A", "2", "1,2,1", "1,1"): (
+        '{"data": {"checks": [{"detail": "8 twisted-sweep points vs 8 cut points", '
+        '"name": "route_agreement", "pass": true}, {"detail": "8 points vs oracle 8", '
+        '"name": "dimension", "pass": true}, {"detail": "11 forms, stabilized=True", '
+        '"name": "closure_certified", "pass": true}, '
+        '{"detail": "constants nonnegative at this weight", "name": "ample", '
+        '"pass": true}, {"detail": "8 lattice points vs 8 crystal points", '
+        '"name": "hrep_lattice", "pass": true}, {"detail": "k=0:ok,k=1:ok,k=2:ok", '
+        '"name": "semigroup_levels", "pass": true}, '
+        '{"detail": "8 star-chart images vs 8 string points", '
+        '"name": "eta_string_bijection", "pass": true}, '
+        '{"detail": "8 valuation exponents vs 8 crystal points", "name": "value_set", '
+        '"pass": true}], "failed": []}, '
+        '"meta": {"convention": "word is application-ordered, j_1 first", "lambda": [1, '
+        '1], "word": [1, 2, 1]}}\n'
+    ),
+    ("C", "2", "1,2,1,2", "1,1"): (
+        '{"data": {"checks": [{"detail": "16 twisted-sweep points vs 16 cut points", '
+        '"name": "route_agreement", "pass": true}, {"detail": "16 points vs oracle 16", '
+        '"name": "dimension", "pass": true}, {"detail": "17 forms, stabilized=True", '
+        '"name": "closure_certified", "pass": true}, '
+        '{"detail": "constants nonnegative at this weight", "name": "ample", '
+        '"pass": true}, {"detail": "16 lattice points vs 16 crystal points", '
+        '"name": "hrep_lattice", "pass": true}, {"detail": "k=0:ok,k=1:ok,k=2:ok", '
+        '"name": "semigroup_levels", "pass": true}, '
+        '{"detail": "16 star-chart images vs 16 string points", '
+        '"name": "eta_string_bijection", "pass": true}], "failed": []}, '
+        '"meta": {"convention": "word is application-ordered, j_1 first", "lambda": [1, '
+        '1], "word": [1, 2, 1, 2]}}\n'
+    ),
+    ("C", "2", "1,2,1,2", "2,2"): (
+        '{"data": {"checks": [{"detail": "81 twisted-sweep points vs 81 cut points", '
+        '"name": "route_agreement", "pass": true}, {"detail": "81 points vs oracle 81", '
+        '"name": "dimension", "pass": true}, {"detail": "17 forms, stabilized=True", '
+        '"name": "closure_certified", "pass": true}, '
+        '{"detail": "constants nonnegative at this weight", "name": "ample", '
+        '"pass": true}, {"detail": "81 lattice points vs 81 crystal points", '
+        '"name": "hrep_lattice", "pass": true}, {"detail": "k=0:ok,k=1:ok,k=2:ok", '
+        '"name": "semigroup_levels", "pass": true}, '
+        '{"detail": "81 star-chart images vs 81 string points", '
+        '"name": "eta_string_bijection", "pass": true}], "failed": []}, '
+        '"meta": {"convention": "word is application-ordered, j_1 first", "lambda": [2, '
+        '2], "word": [1, 2, 1, 2]}}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("family,rank,word,lam", sorted(THEOREM_CHECK_STDOUT))
+def test_theorem_check_output_is_pinned(capsys, family, rank, word, lam):
+    code, out, _ = run(capsys, ["theorem-check", "--type", family, "--rank", rank,
+                                "--word", word, "--lambda", lam])
+    assert code == 0
+    assert out == THEOREM_CHECK_STDOUT[family, rank, word, lam]
+
+
+def test_theorem_check_cuts_each_weight_once(capsys, monkeypatch):
+    from crystal_polytope import demazure
+
+    seen = []
+
+    def recording(fn):
+        def wrapper(cartan, word, lam):
+            seen.append((word.letters, lam.coords))
+            return fn(cartan, word, lam)
+        return wrapper
+
+    original = demazure.btilde_cut
+    monkeypatch.setattr(cli, "btilde_cut", recording(original))
+    monkeypatch.setattr(demazure, "btilde_cut", recording(original))
+    code, _, _ = run(capsys, ["theorem-check", "--type", "C", "--rank", "2",
+                              "--word", "1,2,1,2", "--lambda", "1,1"])
+    assert code == 0
+    # route and levels k = 0, 2 on the word, string points on the reversed word
+    assert len(seen) == len(set(seen)) == 4, seen
+
+
 def test_theorem_check_exit_two_on_mismatch(capsys, monkeypatch):
     from crystal_polytope.demazure import DemazureSet
     from crystal_polytope.rootdata import ReducedWord, rho

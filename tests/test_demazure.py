@@ -3,11 +3,12 @@
 import pytest
 
 from crystal_polytope import demazure
-from crystal_polytope.demazure import (btilde_cut, enumerate_demazure,
-                                       semigroup_points, string_points)
+from crystal_polytope.binfinity import membership
+from crystal_polytope.demazure import btilde_cut, enumerate_demazure, string_points
 from crystal_polytope.rootdata import (ReducedWord, WeightVec,
                                        all_reduced_words_longest, cartan_builtin,
                                        fundamental, rho, weyl_dim_oracle)
+from crystal_polytope.zcrystal import SequenceSpec
 
 A2 = cartan_builtin("A", 2)
 C2 = cartan_builtin("C", 2)
@@ -52,25 +53,41 @@ def test_cut_route_agrees_with_sweep_route():
             assert left.coords == right.coords, (letters, lam)
 
 
-def test_cut_route_builds_one_star_partner_per_element(monkeypatch):
+def test_cut_route_decides_each_member_once(monkeypatch):
     G2 = cartan_builtin("G", 2)
-    for cartan, word, lam in ((C2, W_C2, RHO2.scale(2)),
-                              (G2, ReducedWord((1, 2, 1, 2, 1, 2)), RHO2)):
-        expected = btilde_cut(cartan, word, lam).coords
-        calls = {"star": 0, "ftilde": 0}
+    C3 = cartan_builtin("C", 3)
+    star_of_member, ftilde = demazure._star_of_member, demazure.ftilde
 
-        def counting(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
+    def forbidden(*args):
+        raise AssertionError("the cut route used a twisted operator")
+
+    for cartan, word, lam in ((C2, W_C2, RHO2.scale(2)),
+                              (G2, ReducedWord((1, 2, 1, 2, 1, 2)), RHO2),
+                              (C3, ReducedWord((1, 2, 1, 3, 2, 1, 3, 2, 3)), rho(3))):
+        spec = SequenceSpec(cartan, word)
+        partners, lowered = [], 0
+
+        def partner(spec_arg, x):
+            partners.append(x)
+            return star_of_member(spec_arg, x)
+
+        def lowering(*args):
+            nonlocal lowered
+            lowered += 1
+            return ftilde(*args)
 
         with monkeypatch.context() as m:
-            m.setattr(demazure, "star", counting("star", demazure.star))
-            m.setattr(demazure, "ftilde", counting("ftilde", demazure.ftilde))
+            m.setattr(demazure, "_star_of_member", partner)
+            m.setattr(demazure, "ftilde", lowering)
+            for name in ("twist_ftilde", "LambdaTwist"):
+                m.setattr(demazure, name, forbidden)
             got = btilde_cut(cartan, word, lam).coords
-        assert got == expected == enumerate_demazure(cartan, word, lam).coords
-        assert calls["star"] == calls["ftilde"] > 0, calls
+        assert got == enumerate_demazure(cartan, word, lam).coords
+        # the partner builder skips the membership check, so it must only
+        # ever see members
+        assert all(membership(spec, x) for x in partners)
+        # elements a stage already holds are not decided again
+        assert 0 < len(partners) < lowered, (len(partners), lowered)
 
 
 def test_sweep_is_word_order_sensitive_but_longest_is_not():
@@ -93,11 +110,11 @@ def test_validation_rejects_bad_inputs():
 
 
 def test_semigroup_levels_scale_the_weight():
-    graded = semigroup_points(A2, W_A2, RHO2, 2)
-    assert graded.levels[0] == frozenset({(0, 0, 0)})
-    assert len(graded.levels[1]) == 8
-    assert len(graded.levels[2]) == 27
-    assert graded.levels[1] <= graded.levels[2]  # dilation is monotone here
+    levels = {k: btilde_cut(A2, W_A2, RHO2.scale(k)).coords for k in range(3)}
+    assert levels[0] == frozenset({(0, 0, 0)})
+    assert len(levels[1]) == 8
+    assert len(levels[2]) == 27
+    assert levels[1] <= levels[2]  # dilation is monotone here
 
 
 def test_string_points_a2_rho_golden():

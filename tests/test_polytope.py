@@ -2,7 +2,7 @@
 
 import pytest
 
-from crystal_polytope.demazure import semigroup_points
+from crystal_polytope.demazure import btilde_cut
 from crystal_polytope.inequalities import delta_forms, delta_hrep, generate_xi
 from crystal_polytope.polytope import (HalfSpaceSystem, bounding_box, compare_levels,
                                        lattice_points, normalize, system_from_forms,
@@ -107,14 +107,16 @@ def test_implied_by_combines_rows():
 
 def test_compare_levels_accepts_the_true_forms():
     xi = generate_xi(SPEC_A2, 3)
-    graded = semigroup_points(A2, ReducedWord((1, 2, 1)), RHO2, 3)
-    verdict = compare_levels(graded, delta_forms(xi, 3), RHO2)
+    graded = {k: btilde_cut(A2, ReducedWord((1, 2, 1)), RHO2.scale(k)).coords
+              for k in range(4)}
+    verdict = compare_levels(graded, 3, delta_forms(xi, 3), RHO2)
     assert verdict == {0: True, 1: True, 2: True, 3: True}
 
 
 def test_compare_levels_rejects_wrong_forms():
     from crystal_polytope.inequalities import AffineForm
-    graded = semigroup_points(A2, ReducedWord((1, 2, 1)), RHO2, 1)
+    graded = {k: btilde_cut(A2, ReducedWord((1, 2, 1)), RHO2.scale(k)).coords
+              for k in range(2)}
     wrong = [AffineForm.make({1: -1}, (0, 0), 0)]  # -a_1 >= 0 excludes points
-    verdict = compare_levels(graded, wrong, RHO2)
+    verdict = compare_levels(graded, 3, wrong, RHO2)
     assert verdict[1] is False
