@@ -17,8 +17,7 @@ from .zcrystal import SequenceSpec, ZElement, LambdaTwist
 from .binfinity import membership, star, string_param, eta, eta_opposite
 from .demazure import DemazureSet, enumerate_demazure, btilde_cut, string_points
 from .inequalities import AffineForm, XiSet, generate_xi, ample_check, delta_forms, delta_hrep
-from .polytope import (HalfSpaceSystem, LatticeBox, bounding_box, lattice_points,
-                       compare_levels, normalize)
+from .polytope import HalfSpaceSystem, LatticeBox, bounding_box, lattice_points, normalize
 from .valuation import (ValuationOrder, MultiPoly, PolyMatrix, parse_poly, value,
                         value_quot, chevalley_value, builtin_generators,
                         unipotent_product, column_minors, section_span,
@@ -53,7 +52,6 @@ __all__ = [
     "LatticeBox",
     "bounding_box",
     "lattice_points",
-    "compare_levels",
     "normalize",
     "ValuationOrder",
     "MultiPoly",

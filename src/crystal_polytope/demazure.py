@@ -7,7 +7,9 @@ the word-supported part of the big crystal's image and keeps elements
 whose starred eps, the eps of their star partner, stays within the
 weight caps.  Both routes land on the same coordinate vectors; the
 second never consults the twisted operators, which is what makes the
-agreement a real check.
+agreement a real check.  String data is peeled from a slice the caller
+has already cut, so one cut serves both the route check and the string
+side.
 
 The starred-eps cut is swept safely because starred eps never decreases
 under a lowering operator, so along a single-letter sweep the first
@@ -114,18 +116,19 @@ def btilde_cut(cartan: CartanMatrix, word: ReducedWord, lam: WeightVec) -> Demaz
     return DemazureSet(word, lam, frozenset(x.coords(r) for x in current))
 
 
-def string_points(cartan: CartanMatrix, word: ReducedWord, lam: WeightVec) -> frozenset:
-    """String data (peeled along the word) of every element of the cut slice.
+def string_points(cartan: CartanMatrix, cut: DemazureSet) -> frozenset:
+    """String data (peeled along the word) of every element of a given cut slice.
 
-    When the word reaches the longest element the peel is exhaustive and
-    the residue is checked; for shorter words the first coordinates of
-    the string data are reported as-is.
+    The slice is taken as given, normally from ``btilde_cut``, and is
+    not cut again.  When the word reaches the longest element the peel
+    is exhaustive and the residue is checked; for shorter words the
+    first coordinates of the string data are reported as-is.
     """
-    _validate(cartan, word, lam)
+    word = cut.word
     spec = SequenceSpec(cartan, word)
     exhaustive = len(word.letters) == num_positive_roots(cartan)
     out = set()
-    for c in btilde_cut(cartan, word, lam).coords:
+    for c in cut.coords:
         x = ZElement.from_coords(c)
         assert membership(spec, x)
         out.add(string_param(spec, x, word.letters, require_exhaustive=exhaustive))

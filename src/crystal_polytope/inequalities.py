@@ -189,12 +189,12 @@ def _restricted(forms, r: int) -> set:
     return {g for g in (f.restrict(r) for f in forms) if not g.is_zero()}
 
 
-def delta_forms(xi: XiSet, r: int) -> list:
-    """Closure forms restricted to the first r positions, deduplicated."""
-    return sorted(_restricted(xi.forms, r), key=lambda f: f.sort_key())
+def delta_forms(xi: XiSet) -> list:
+    """Closure forms restricted to the base word's positions, deduplicated."""
+    return sorted(_restricted(xi.forms, len(xi.spec.base.letters)), key=lambda f: f.sort_key())
 
 
-def delta_hrep(xi: XiSet, r: int, lam: WeightVec) -> HalfSpaceSystem:
+def delta_hrep(xi: XiSet, lam: WeightVec) -> HalfSpaceSystem:
     """Concrete half-space rows (coeffs, const) for the weight-instantiated system.
 
     Raises when the weight fails the ampleness check; enumeration
@@ -204,4 +204,4 @@ def delta_hrep(xi: XiSet, r: int, lam: WeightVec) -> HalfSpaceSystem:
         raise ValueError(
             "weight fails the ampleness check; fall back to direct crystal enumeration"
         )
-    return system_from_forms(delta_forms(xi, r), r, lam)
+    return system_from_forms(delta_forms(xi), len(xi.spec.base.letters), lam)

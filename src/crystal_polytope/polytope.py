@@ -1,4 +1,4 @@
-"""Integer half-space systems, exact lattice enumeration, and comparisons.
+"""Integer half-space systems, exact lattice enumeration, and redundancy removal.
 
 Everything here is exact: rows are integer vectors, bounding boxes are
 computed by interval propagation with rational division rounded the
@@ -122,25 +122,6 @@ def system_from_forms(forms, r: int, lam: WeightVec) -> HalfSpaceSystem:
         coeffs = tuple(f.coefficient(p) for p in range(1, r + 1))
         rows.append((coeffs, f.constant_at(lam)))
     return HalfSpaceSystem.make(r, rows)
-
-
-def compare_levels(levels: dict, r: int, forms, lam: WeightVec) -> dict:
-    """Per level: do the level-k points equal the lattice points at weight k*lam?
-
-    ``levels`` maps k to the set of length-r coordinate vectors at k*lam.
-
-    A system that fails to bound every coordinate has infinitely many
-    rational solutions, so it cannot match a finite level set; such a
-    level is reported as a mismatch rather than an error.
-    """
-    out = {}
-    for k, pts in levels.items():
-        system = system_from_forms(forms, r, lam.scale(k))
-        try:
-            out[k] = sorted(pts) == lattice_points(system)
-        except ValueError:
-            out[k] = False
-    return out
 
 
 def _row_reduce(coeffs: tuple, const: int):

@@ -337,27 +337,6 @@ def weyl_dim_oracle(cartan: CartanMatrix, lam: WeightVec) -> int:
     return int(dim)
 
 
-def complete_to_longest(cartan: CartanMatrix, word: ReducedWord) -> ReducedWord:
-    """Extend a reduced word to one for the longest element.
-
-    Greedy: repeatedly append the smallest letter that keeps the word
-    reduced.  Stops when no letter extends, which for finite type means
-    the longest element was reached (length = number of positive roots).
-    """
-    if not is_reduced(cartan, word):
-        raise ValueError("word is not reduced")
-    letters = list(word.letters)
-    target = num_positive_roots(cartan)
-    while len(letters) < target:
-        for i in cartan.index_set():
-            if is_reduced(cartan, tuple(letters) + (i,)):
-                letters.append(i)
-                break
-        else:
-            raise AssertionError("reduced word stuck before reaching the longest element")
-    return ReducedWord(tuple(letters))
-
-
 def all_reduced_words_longest(cartan: CartanMatrix) -> list[tuple[int, ...]]:
     """Every reduced word for the longest element, in application order.
 

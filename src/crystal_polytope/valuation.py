@@ -366,6 +366,11 @@ def restrict_span(span: list, r: int) -> list:
     """Set variables beyond t_r to zero and re-home survivors in r variables.
 
     Models cutting a section span down to a smaller unipotent cell.
+    With t_k = 0 every factor past position r of the word's product is
+    the identity, so the survivors are the section span of the word's
+    first r letters (less its zero polynomials), and both give the same
+    value set.  It is kept as the independent reference for that prefix
+    span and for the prefix queries of the benchmark.
     """
     out = []
     for f in span:

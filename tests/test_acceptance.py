@@ -13,8 +13,8 @@ from fractions import Fraction
 from crystal_polytope.binfinity import eta, eta_opposite, membership
 from crystal_polytope.demazure import btilde_cut, enumerate_demazure, string_points
 from crystal_polytope.inequalities import ample_check, delta_forms, delta_hrep, generate_xi
-from crystal_polytope.polytope import (HalfSpaceSystem, bounding_box, compare_levels,
-                                       lattice_points, _implied_by)
+from crystal_polytope.polytope import (HalfSpaceSystem, bounding_box, lattice_points,
+                                       system_from_forms, _implied_by)
 from crystal_polytope.rootdata import (ReducedWord, WeightVec, cartan_builtin,
                                        fundamental, is_reduced, num_positive_roots,
                                        rho, root_to_weight, simple_root, weyl_dim_oracle)
@@ -163,13 +163,13 @@ def test_criterion_04_hrep_matches_displays(capsys):
     xi_a = generate_xi(SPEC_A2, 3)
     xi_c = generate_xi(SPEC_C2, 4)
     for lam in weights:
-        computed = delta_hrep(xi_a, 3, lam)
+        computed = delta_hrep(xi_a, lam)
         display = _display_a2(lam)
         if lattice_points(computed) != lattice_points(display):
             ok = False
         if not _systems_equivalent(computed, display):
             ok = False
-        computed = delta_hrep(xi_c, 4, lam)
+        computed = delta_hrep(xi_c, lam)
         display = _display_c2(lam)
         if lattice_points(computed) != lattice_points(display):
             ok = False
@@ -206,7 +206,7 @@ def test_criterion_05_lattice_equals_crystal(capsys):
                 if swept.coords != cut.coords:
                     ok = False
                 if xi.certified and ample_check(xi, lam):
-                    pts = lattice_points(delta_hrep(xi, len(letters), lam))
+                    pts = lattice_points(delta_hrep(xi, lam))
                     if pts != swept.sorted_coords():
                         ok = False
                 if len(letters) == n:
@@ -224,11 +224,12 @@ def test_criterion_06_semigroup_levels(capsys):
     start = time.monotonic()
     ok = True
     for cartan, word, spec, r in ((A2, W_A2, SPEC_A2, 3), (C2, W_C2, SPEC_C2, 4)):
-        xi = generate_xi(spec, r)
-        graded = {k: btilde_cut(cartan, word, RHO2.scale(k)).coords for k in range(4)}
-        verdict = compare_levels(graded, r, delta_forms(xi, r), RHO2)
-        if not all(verdict[k] for k in range(4)):
-            ok = False
+        forms = delta_forms(generate_xi(spec, r))
+        for k in range(4):
+            lam = RHO2.scale(k)
+            level = btilde_cut(cartan, word, lam).coords
+            if sorted(level) != lattice_points(system_from_forms(forms, r, lam)):
+                ok = False
     elapsed = time.monotonic() - start
     report(capsys, 6, ok, elapsed,
            "dilation levels k <= 3 at rho equal the scaled-system lattice points")
@@ -256,16 +257,16 @@ def _display_string_c2(lam):
 def test_criterion_07_string_side(capsys):
     start = time.monotonic()
     ok = True
-    strung_a = string_points(A2, W_A2, RHO2)
+    strung_a = string_points(A2, btilde_cut(A2, W_A2, RHO2))
     if strung_a != frozenset(lattice_points(_display_string_a2(RHO2))):
         ok = False
-    strung_c = string_points(C2, W_C2.reversed(), RHO2)
+    strung_c = string_points(C2, btilde_cut(C2, W_C2.reversed(), RHO2))
     if strung_c != frozenset(lattice_points(_display_string_c2(RHO2))):
         ok = False
     for spec, cartan, word, xi_window, strung in (
             (SPEC_A2, A2, W_A2, 3, strung_a), (SPEC_C2, C2, W_C2, 4, strung_c)):
         xi = generate_xi(spec, xi_window)
-        delta_points = lattice_points(delta_hrep(xi, xi_window, RHO2))
+        delta_points = lattice_points(delta_hrep(xi, RHO2))
         image = {eta_opposite(spec, ZElement.from_coords(p)) for p in delta_points}
         if image != set(strung) or len(image) != len(delta_points):
             ok = False

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from crystal_polytope import cli
+from crystal_polytope.inequalities import AffineForm
 
 
 def run(capsys, argv):
@@ -189,6 +190,37 @@ THEOREM_CHECK_STDOUT = {
         '"meta": {"convention": "word is application-ordered, j_1 first", "lambda": [2, '
         '2], "word": [1, 2, 1, 2]}}\n'
     ),
+    # a prefix word: the value set comes from the span of the prefix itself
+    ("A", "2", "1,2", "1,1"): (
+        '{"data": {"checks": [{"detail": "5 twisted-sweep points vs 5 cut points", '
+        '"name": "route_agreement", "pass": true}, {"detail": "8 forms, stabilized=True", '
+        '"name": "closure_certified", "pass": true}, '
+        '{"detail": "constants nonnegative at this weight", "name": "ample", '
+        '"pass": true}, {"detail": "5 lattice points vs 5 crystal points", '
+        '"name": "hrep_lattice", "pass": true}, {"detail": "k=0:ok,k=1:ok,k=2:ok", '
+        '"name": "semigroup_levels", "pass": true}, '
+        '{"detail": "5 valuation exponents vs 5 crystal points", "name": "value_set", '
+        '"pass": true}], "failed": []}, '
+        '"meta": {"convention": "word is application-ordered, j_1 first", "lambda": [1, '
+        '1], "word": [1, 2]}}\n'
+    ),
+    # a palindrome: the string side peels the cut the route check made
+    ("A", "2", "1,2,1", "2,2"): (
+        '{"data": {"checks": [{"detail": "27 twisted-sweep points vs 27 cut points", '
+        '"name": "route_agreement", "pass": true}, {"detail": "27 points vs oracle 27", '
+        '"name": "dimension", "pass": true}, {"detail": "11 forms, stabilized=True", '
+        '"name": "closure_certified", "pass": true}, '
+        '{"detail": "constants nonnegative at this weight", "name": "ample", '
+        '"pass": true}, {"detail": "27 lattice points vs 27 crystal points", '
+        '"name": "hrep_lattice", "pass": true}, {"detail": "k=0:ok,k=1:ok,k=2:ok", '
+        '"name": "semigroup_levels", "pass": true}, '
+        '{"detail": "27 star-chart images vs 27 string points", '
+        '"name": "eta_string_bijection", "pass": true}, '
+        '{"detail": "27 valuation exponents vs 27 crystal points", "name": "value_set", '
+        '"pass": true}], "failed": []}, '
+        '"meta": {"convention": "word is application-ordered, j_1 first", "lambda": [2, '
+        '2], "word": [1, 2, 1]}}\n'
+    ),
 }
 
 
@@ -200,7 +232,13 @@ def test_theorem_check_output_is_pinned(capsys, family, rank, word, lam):
     assert out == THEOREM_CHECK_STDOUT[family, rank, word, lam]
 
 
-def test_theorem_check_cuts_each_weight_once(capsys, monkeypatch):
+@pytest.mark.parametrize("family,rank,word,cuts", [
+    # route and levels k = 0, 2 on the word, string points on the reversed word
+    ("C", "2", "1,2,1,2", 4),
+    # a palindrome is its own reversal, so the route's cut serves the string side
+    ("A", "2", "1,2,1", 3),
+])
+def test_theorem_check_cuts_each_weight_once(capsys, monkeypatch, family, rank, word, cuts):
     from crystal_polytope import demazure
 
     seen = []
@@ -214,11 +252,54 @@ def test_theorem_check_cuts_each_weight_once(capsys, monkeypatch):
     original = demazure.btilde_cut
     monkeypatch.setattr(cli, "btilde_cut", recording(original))
     monkeypatch.setattr(demazure, "btilde_cut", recording(original))
+    code, _, _ = run(capsys, ["theorem-check", "--type", family, "--rank", rank,
+                              "--word", word, "--lambda", "1,1"])
+    assert code == 0
+    assert len(seen) == len(set(seen)) == cuts, seen
+
+
+def test_theorem_check_enumerates_each_system_once(capsys, monkeypatch):
+    systems = []
+    original = cli.lattice_points
+
+    def recording(system):
+        systems.append(system)
+        return original(system)
+
+    monkeypatch.setattr(cli, "lattice_points", recording)
     code, _, _ = run(capsys, ["theorem-check", "--type", "C", "--rank", "2",
                               "--word", "1,2,1,2", "--lambda", "1,1"])
     assert code == 0
-    # route and levels k = 0, 2 on the word, string points on the reversed word
-    assert len(seen) == len(set(seen)) == 4, seen
+    # hrep_lattice and level k = 1 share the system at the weight itself
+    assert len(systems) == len(set(systems)) == 3, systems
+
+
+def _with_extra_row(forms):
+    return forms + [AffineForm.make({1: -1}, (0, 0), 0)]  # -a_1 >= 0
+
+
+def _unbounded(forms):
+    return [AffineForm.make({1: -1}, (0, 0, 0), 0)]  # leaves a_2, a_3, a_4 free
+
+
+@pytest.mark.parametrize("family,rank,word,lam,forms,detail", [
+    # wrong forms: level 0 holds only the origin, which the extra row keeps
+    ("A", "2", "1,2,1", "1,1", _with_extra_row, "k=0:ok,k=1:FAIL,k=2:FAIL"),
+    # an unbounded system is a mismatch, not an error; this prefix's closure is
+    # uncertified, so hrep_lattice does not run and only the levels read the system
+    ("A", "3", "1,2,1,3", "1,1,1", _unbounded, "k=0:FAIL,k=1:FAIL,k=2:FAIL"),
+])
+def test_theorem_check_levels_fail_on_wrong_forms(capsys, monkeypatch, family, rank, word,
+                                                  lam, forms, detail):
+    original = cli.delta_forms
+    monkeypatch.setattr(cli, "delta_forms", lambda xi: forms(original(xi)))
+    code, out, _ = run(capsys, ["theorem-check", "--type", family, "--rank", rank,
+                                "--word", word, "--lambda", lam])
+    assert code == 2
+    doc = json.loads(out)
+    assert "semigroup_levels" in doc["data"]["failed"]
+    levels = next(c for c in doc["data"]["checks"] if c["name"] == "semigroup_levels")
+    assert levels["detail"] == detail
 
 
 def test_theorem_check_exit_two_on_mismatch(capsys, monkeypatch):

@@ -66,7 +66,7 @@ def test_descent_idempotence_when_slot_vanishes():
 def test_closure_a2_is_small_and_certified():
     xi = generate_xi(SPEC_A2, 3)
     assert xi.stabilized and xi.certified
-    restricted = delta_forms(xi, 3)
+    restricted = delta_forms(xi)
     expected = {
         form({1: 1}),
         form({1: -1}, (1, 0)),
@@ -82,7 +82,7 @@ def test_closure_a2_is_small_and_certified():
 def test_closure_c2_restricted_forms():
     xi = generate_xi(SPEC_C2, 4)
     assert xi.certified
-    restricted = set(delta_forms(xi, 4))
+    restricted = set(delta_forms(xi))
     assert len(restricted) == 12
     assert form({2: 2, 3: -1}) in restricted
     assert form({3: 1, 4: -2}) in restricted
@@ -91,8 +91,8 @@ def test_closure_c2_restricted_forms():
 
 
 def test_closure_restriction_is_window_insensitive():
-    base = set(delta_forms(generate_xi(SPEC_C2, 4), 4))
-    wider = set(delta_forms(generate_xi(SPEC_C2, 7), 4))
+    base = set(delta_forms(generate_xi(SPEC_C2, 4)))
+    wider = set(delta_forms(generate_xi(SPEC_C2, 7)))
     assert base == wider
 
 
@@ -146,7 +146,7 @@ def test_delta_hrep_rejects_non_ample_data():
     broken = type(xi)(spec=xi.spec, window=xi.window, forms=poisoned,
                       stabilized=True, certified=True)
     with pytest.raises(ValueError, match="enumeration"):
-        delta_hrep(broken, 3, RHO2)
+        delta_hrep(broken, RHO2)
 
 
 def test_every_generated_form_is_nonnegative_on_slice_points():
@@ -154,13 +154,13 @@ def test_every_generated_form_is_nonnegative_on_slice_points():
                                   (SPEC_C2, C2, ReducedWord((1, 2, 1, 2)), 4)):
         xi = generate_xi(spec, r)
         points = enumerate_demazure(cartan, word, RHO2).coords
-        for psi in delta_forms(xi, r):
+        for psi in delta_forms(xi):
             for point in points:
                 assert psi.eval(point, RHO2) >= 0, (psi, point)
 
 
 def test_hrep_lattice_points_match_slice():
     xi = generate_xi(SPEC_A2, 3)
-    pts = lattice_points(delta_hrep(xi, 3, RHO2))
+    pts = lattice_points(delta_hrep(xi, RHO2))
     crystal = enumerate_demazure(A2, ReducedWord((1, 2, 1)), RHO2)
     assert pts == crystal.sorted_coords()

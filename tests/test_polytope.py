@@ -2,11 +2,9 @@
 
 import pytest
 
-from crystal_polytope.demazure import btilde_cut
 from crystal_polytope.inequalities import delta_forms, delta_hrep, generate_xi
-from crystal_polytope.polytope import (HalfSpaceSystem, bounding_box, compare_levels,
-                                       lattice_points, normalize, system_from_forms,
-                                       _implied_by)
+from crystal_polytope.polytope import (HalfSpaceSystem, bounding_box, lattice_points,
+                                       normalize, system_from_forms, _implied_by)
 from crystal_polytope.rootdata import ReducedWord, WeightVec, cartan_builtin, rho
 from crystal_polytope.zcrystal import SequenceSpec
 
@@ -17,7 +15,7 @@ RHO2 = rho(2)
 
 def a2_rho_system():
     xi = generate_xi(SPEC_A2, 3)
-    return delta_hrep(xi, 3, RHO2)
+    return delta_hrep(xi, RHO2)
 
 
 def test_bounding_box_of_the_rho_polytope():
@@ -36,7 +34,7 @@ def test_bounding_box_is_the_lattice_extent(family, rank, word, window, scale):
     # interval propagation already gives the tight box, so no LP is needed for it
     cartan = cartan_builtin(family, rank)
     xi = generate_xi(SequenceSpec(cartan, ReducedWord(word)), window)
-    system = delta_hrep(xi, len(word), rho(rank).scale(scale))
+    system = delta_hrep(xi, rho(rank).scale(scale))
     box = bounding_box(system)
     pts = lattice_points(system)
     assert box.lo == tuple(map(min, zip(*pts)))
@@ -65,7 +63,7 @@ def test_lattice_points_of_a_unit_cube():
 
 def test_system_from_forms_matches_direct_eval():
     xi = generate_xi(SPEC_A2, 3)
-    forms = delta_forms(xi, 3)
+    forms = delta_forms(xi)
     system = system_from_forms(forms, 3, RHO2)
     for point in ((0, 0, 0), (1, 2, 1), (1, 0, 1), (0, 2, 0)):
         direct = all(f.eval(point, RHO2) >= 0 for f in forms)
@@ -103,20 +101,3 @@ def test_implied_by_combines_rows():
     rows = [((1, 0), 0), ((0, 1), 0)]  # x >= 0, y >= 0
     assert _implied_by(rows, ((1, 1), 0), 2)      # x + y >= 0
     assert not _implied_by(rows, ((1, -1), 0), 2)  # x - y can be negative
-
-
-def test_compare_levels_accepts_the_true_forms():
-    xi = generate_xi(SPEC_A2, 3)
-    graded = {k: btilde_cut(A2, ReducedWord((1, 2, 1)), RHO2.scale(k)).coords
-              for k in range(4)}
-    verdict = compare_levels(graded, 3, delta_forms(xi, 3), RHO2)
-    assert verdict == {0: True, 1: True, 2: True, 3: True}
-
-
-def test_compare_levels_rejects_wrong_forms():
-    from crystal_polytope.inequalities import AffineForm
-    graded = {k: btilde_cut(A2, ReducedWord((1, 2, 1)), RHO2.scale(k)).coords
-              for k in range(2)}
-    wrong = [AffineForm.make({1: -1}, (0, 0), 0)]  # -a_1 >= 0 excludes points
-    verdict = compare_levels(graded, 3, wrong, RHO2)
-    assert verdict[1] is False

@@ -6,9 +6,9 @@ import pytest
 
 from crystal_polytope.rootdata import (CartanMatrix, ReducedWord, WeightVec,
                                        all_reduced_words_longest, cartan_builtin,
-                                       complete_to_longest, fundamental, is_reduced,
-                                       num_positive_roots, positive_roots, reflect,
-                                       rho, weight_after_word, weyl_dim_oracle)
+                                       fundamental, is_reduced, num_positive_roots,
+                                       positive_roots, reflect, rho, weight_after_word,
+                                       weyl_dim_oracle)
 
 A2 = cartan_builtin("A", 2)
 C2 = cartan_builtin("C", 2)
@@ -92,15 +92,6 @@ def test_all_reduced_words_longest():
     assert sorted(all_reduced_words_longest(C2)) == [(1, 2, 1, 2), (2, 1, 2, 1)]
     # the longest element of the rank-3 symmetric group case has 16 reduced words
     assert len(all_reduced_words_longest(cartan_builtin("A", 3))) == 16
-
-
-def test_complete_to_longest_extends_prefix():
-    for cartan, prefix in ((A2, (1,)), (A2, (2, 1)), (C2, (1, 2)), (C2, (2,))):
-        word = complete_to_longest(cartan, ReducedWord(prefix))
-        n = num_positive_roots(cartan)
-        assert len(word.letters) == n
-        assert word.letters[: len(prefix)] == prefix
-        assert is_reduced(cartan, word)
 
 
 def test_weyl_dim_oracle_golden():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from crystal_polytope.demazure import enumerate_demazure
-from crystal_polytope.rootdata import ReducedWord, cartan_builtin, fundamental, rho
+from crystal_polytope.rootdata import ReducedWord, WeightVec, cartan_builtin, fundamental, rho
 from crystal_polytope.valuation import (MultiPoly, PolyMatrix, ValuationOrder,
                                         builtin_generators, chevalley_value,
                                         column_minors, parse_poly, products_closure,
@@ -150,6 +150,21 @@ def test_restricted_span_matches_partial_slices():
         exps = {tuple(-x for x in v) for v in values}
         crystal = enumerate_demazure(A2, ReducedWord(W_A2.letters[:r]), rho(2)).coords
         assert exps == set(crystal), r
+
+
+@pytest.mark.parametrize("family,rank,letters,lam", [
+    ("A", 2, (1, 2, 1), (1, 1)), ("A", 2, (1, 2, 1), (1, 0)), ("A", 2, (1, 2, 1), (2, 1)),
+    ("A", 3, (1, 2, 1, 3, 2, 1), (1, 1, 1)), ("A", 3, (1, 2, 1, 3, 2, 1), (1, 0, 1)),
+])
+def test_prefix_span_values_equal_the_restricted_span(family, rank, letters, lam):
+    # t_k = 0 beyond the prefix turns the word's product into the prefix's own
+    gens = builtin_generators(cartan_builtin(family, rank))
+    weight = WeightVec(lam)
+    span = section_span(unipotent_product(ReducedWord(letters), gens), weight)
+    for r in range(1, len(letters)):
+        own = section_span(unipotent_product(ReducedWord(letters[:r]), gens), weight)
+        assert value_set_of_span(own, HI) == \
+            value_set_of_span(restrict_span(span, r), HI), r
 
 
 def test_products_closure_small():
