@@ -19,9 +19,8 @@ from .demazure import DemazureSet, enumerate_demazure, btilde_cut, string_points
 from .inequalities import AffineForm, XiSet, generate_xi, ample_check, delta_forms, delta_hrep
 from .polytope import HalfSpaceSystem, LatticeBox, bounding_box, lattice_points, normalize
 from .valuation import (ValuationOrder, MultiPoly, PolyMatrix, parse_poly, value,
-                        value_quot, chevalley_value, builtin_generators,
-                        unipotent_product, column_minors, section_span,
-                        restrict_span, products_closure, value_set_of_span)
+                        builtin_generators, unipotent_product, column_minors,
+                        section_span, restrict_span, products_closure, value_set_of_span)
 
 __all__ = [
     "CartanMatrix",
@@ -58,8 +57,6 @@ __all__ = [
     "PolyMatrix",
     "parse_poly",
     "value",
-    "value_quot",
-    "chevalley_value",
     "builtin_generators",
     "unipotent_product",
     "column_minors",

@@ -17,7 +17,7 @@ import sys
 
 from .binfinity import eta, eta_opposite, membership, star
 from .demazure import btilde_cut, enumerate_demazure, string_points
-from .inequalities import ample_check, delta_forms, delta_hrep, generate_xi
+from .inequalities import ample_check, ample_forms, delta_forms, delta_hrep, generate_xi
 from .polytope import lattice_points, normalize, system_from_forms
 from .rootdata import (CartanMatrix, ReducedWord, WeightVec, cartan_builtin, is_reduced,
                        num_positive_roots, weyl_dim_oracle)
@@ -199,8 +199,8 @@ def _dispatch(args) -> int:
     if args.command == "delta-hrep":
         xi = _xi_for(spec, args)
         r = len(word.letters)
-        system = normalize(delta_hrep(xi, lam))
-        forms = delta_forms(xi)
+        forms = ample_forms(xi, lam)
+        system = normalize(system_from_forms(forms, r, lam))
         lines = []
         for coeffs, const in system.rows:
             parts = [str(const)]

@@ -194,8 +194,8 @@ def delta_forms(xi: XiSet) -> list:
     return sorted(_restricted(xi.forms, len(xi.spec.base.letters)), key=lambda f: f.sort_key())
 
 
-def delta_hrep(xi: XiSet, lam: WeightVec) -> HalfSpaceSystem:
-    """Concrete half-space rows (coeffs, const) for the weight-instantiated system.
+def ample_forms(xi: XiSet, lam: WeightVec) -> list:
+    """The delta forms, once the weight passes the ampleness check.
 
     Raises when the weight fails the ampleness check; enumeration
     through the crystal sweep is the fallback for such weights.
@@ -204,4 +204,12 @@ def delta_hrep(xi: XiSet, lam: WeightVec) -> HalfSpaceSystem:
         raise ValueError(
             "weight fails the ampleness check; fall back to direct crystal enumeration"
         )
-    return system_from_forms(delta_forms(xi), len(xi.spec.base.letters), lam)
+    return delta_forms(xi)
+
+
+def delta_hrep(xi: XiSet, lam: WeightVec) -> HalfSpaceSystem:
+    """Concrete half-space rows (coeffs, const) for the weight-instantiated system.
+
+    Raises as ``ample_forms`` does on a weight that fails ampleness.
+    """
+    return system_from_forms(ample_forms(xi, lam), len(xi.spec.base.letters), lam)

@@ -2,8 +2,9 @@
 
 Everything here is exact: rows are integer vectors, bounding boxes are
 computed by interval propagation with rational division rounded the
-safe way, and redundancy removal is rational Fourier-Motzkin (safe for
-lattice point sets since it only drops rows implied over the rationals).
+safe way, and redundancy removal is Fourier-Motzkin elimination in
+integers (safe for lattice point sets since it only drops rows implied
+over the rationals).
 """
 
 from __future__ import annotations
@@ -136,8 +137,8 @@ def normalize(system: HalfSpaceSystem) -> HalfSpaceSystem:
     """Scale rows to primitive form, dedup, and drop implied rows.
 
     Redundancy is decided exactly: a row is dropped when its minimum
-    over the remaining rows' polyhedron is nonnegative (rational
-    Fourier-Motzkin), so the integer point set never changes.
+    over the remaining rows' polyhedron is nonnegative (Fourier-Motzkin
+    in integers), so the integer point set never changes.
     """
     seen = []
     for coeffs, const in system.rows:
@@ -159,16 +160,17 @@ def _implied_by(rows, row, dim: int) -> bool:
 
     Encodes t = row(x), projects x away by Fourier-Motzkin, and checks
     that the projected t-interval sits in t >= 0 (an empty projection
-    counts as implied).
+    counts as implied).  Integer rows combined with integer multipliers
+    stay integer; after each eliminated variable the rows are reduced
+    to primitive form and deduplicated, which leaves the projection as
+    it is.
     """
-    # working rows over variables x_1..x_dim, t: (vec of dim+1 Fractions, const)
-    work = []
-    for coeffs, const in rows:
-        work.append((tuple(Fraction(c) for c in coeffs) + (Fraction(0),), Fraction(const)))
+    # working rows over variables x_1..x_dim, t: (integer vec of dim+1, const)
+    work = [(tuple(coeffs) + (0,), const) for coeffs, const in rows]
     rc, rconst = row
-    plus = tuple(Fraction(c) for c in rc) + (Fraction(-1),)
-    work.append((plus, Fraction(rconst)))          # row(x) - t >= 0
-    work.append((tuple(-c for c in plus), -Fraction(rconst)))  # t - row(x) >= 0
+    plus = tuple(rc) + (-1,)
+    work.append((plus, rconst))                          # row(x) - t >= 0
+    work.append((tuple(-c for c in plus), -rconst))      # t - row(x) >= 0
 
     for v in range(dim):
         pos = [r for r in work if r[0][v] > 0]
@@ -181,7 +183,7 @@ def _implied_by(rows, row, dim: int) -> bool:
                 scale_n = pv[v]
                 vec = tuple(scale_p * a + scale_n * b for a, b in zip(pv, nv))
                 combined.append((vec, scale_p * pc + scale_n * nc))
-        work = zero + combined
+        work = list(dict.fromkeys(_row_reduce(vec, const) for vec, const in zero + combined))
 
     t_lower, t_upper = [], []
     for vec, const in work:

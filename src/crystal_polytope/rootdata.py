@@ -152,12 +152,6 @@ def root_to_weight(cartan: CartanMatrix, root: RootCombo) -> WeightVec:
     return WeightVec(tuple(root_pairing(cartan, root, i) for i in cartan.index_set()))
 
 
-def reflect(cartan: CartanMatrix, i: int, lam: WeightVec) -> WeightVec:
-    """Simple reflection of a weight: subtract its i-th pairing times the i-th root."""
-    ci = lam[i]
-    return WeightVec(tuple(lam[j] - ci * cartan.pairing(j, i) for j in cartan.index_set()))
-
-
 def reflect_root(cartan: CartanMatrix, i: int, root: RootCombo) -> RootCombo:
     """Simple reflection acting on the root lattice."""
     amount = root_pairing(cartan, root, i)
@@ -336,31 +330,3 @@ def weyl_dim_oracle(cartan: CartanMatrix, lam: WeightVec) -> int:
         raise ArithmeticError("dimension formula did not produce an integer")
     return int(dim)
 
-
-def all_reduced_words_longest(cartan: CartanMatrix) -> list[tuple[int, ...]]:
-    """Every reduced word for the longest element, in application order.
-
-    Depth-first extension of reduced prefixes; fine at small rank.
-    """
-    target = num_positive_roots(cartan)
-    out: list[tuple[int, ...]] = []
-
-    def grow(prefix: tuple[int, ...]):
-        if len(prefix) == target:
-            out.append(prefix)
-            return
-        for i in cartan.index_set():
-            cand = prefix + (i,)
-            if is_reduced(cartan, cand):
-                grow(cand)
-
-    grow(())
-    return out
-
-
-def weight_after_word(cartan: CartanMatrix, word: ReducedWord, lam: WeightVec) -> WeightVec:
-    """Apply the word's reflections to a weight, first letter first."""
-    cur = lam
-    for i in word:
-        cur = reflect(cartan, i, cur)
-    return cur

@@ -4,10 +4,10 @@ Polynomials are rational-coefficient, stored as sorted exponent-tuple
 terms.  The two valuation flavors are lexicographic highest-term maps:
 one ranks variables first-to-last, the other last-to-first; both send a
 polynomial to minus the exponent vector of its maximal monomial.  The
-span machinery builds the coordinate matrix of a product of one-column
-exponentials, extracts minors to model weight-module sections, and
-reads off achieved values by exact Gaussian elimination against the
-chosen monomial order.
+span machinery builds the product of the factors exp(t_k F) = I + t_k F
+of square-zero generators by column operations, extracts minors to
+model weight-module sections, and reads off achieved values by exact
+Gaussian elimination against the chosen monomial order.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import factorial
 
 from .rootdata import CartanMatrix, ReducedWord, WeightVec, cartan_builtin
 
@@ -92,22 +91,9 @@ class MultiPoly:
                 d[e] = d.get(e, Fraction(0)) + c1 * c2
         return MultiPoly.make(self.nvars, d)
 
-    def diff(self, k: int) -> "MultiPoly":
-        d = {}
-        for e, c in self.terms:
-            ek = e[k - 1]
-            if ek == 0:
-                continue
-            e2 = tuple(v - 1 if j == k - 1 else v for j, v in enumerate(e))
-            d[e2] = d.get(e2, Fraction(0)) + c * ek
-        return MultiPoly.make(self.nvars, d)
-
     def subs_zero(self, k: int) -> "MultiPoly":
         return MultiPoly.make(self.nvars,
                               {e: c for e, c in self.terms if e[k - 1] == 0})
-
-    def var_degree(self, k: int) -> int:
-        return max((e[k - 1] for e, _ in self.terms), default=0)
 
     def total_degree(self) -> int:
         return max((sum(e) for e, _ in self.terms), default=0)
@@ -186,34 +172,6 @@ def value(f: MultiPoly, order: ValuationOrder) -> tuple:
     return tuple(-x for x in _order_key(order, e))
 
 
-def value_quot(num: MultiPoly, den: MultiPoly, order: ValuationOrder) -> tuple:
-    """Valuation of a quotient: difference of the two values."""
-    vn = value(num, order)
-    vd = value(den, order)
-    return tuple(a - b for a, b in zip(vn, vd))
-
-
-def chevalley_value(f: MultiPoly) -> tuple:
-    """Iterated derivative orders, first variable first.
-
-    At step k the entry is the largest a with (-d/dt_k)^a f nonzero, the
-    operator is applied that many times, and t_k is then set to zero.
-    Matches the negated first-ranked valuation on every polynomial.
-    """
-    if f.is_zero():
-        raise ValueError("undefined on the zero polynomial")
-    out = []
-    cur = f
-    for k in range(1, f.nvars + 1):
-        a = cur.var_degree(k)
-        for _ in range(a):
-            cur = cur.diff(k).scale(-1)
-        cur = cur.subs_zero(k)
-        assert not cur.is_zero()
-        out.append(a)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class PolyMatrix:
     """Square matrix of exact polynomials."""
@@ -227,45 +185,6 @@ class PolyMatrix:
     def at(self, row: int, col: int) -> MultiPoly:
         """1-based access."""
         return self.entries[row - 1][col - 1]
-
-    def mul(self, other: "PolyMatrix") -> "PolyMatrix":
-        n = self.size
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = MultiPoly.zero(self.entries[0][0].nvars)
-                for k in range(n):
-                    acc = acc.add(self.entries[i][k].mul(other.entries[k][j]))
-                row.append(acc)
-            rows.append(tuple(row))
-        return PolyMatrix(tuple(rows))
-
-
-def _int_matmul(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
-
-def exp_nilpotent(gen, t_index: int, nvars: int) -> PolyMatrix:
-    """exp(t * gen) for an integer nilpotent matrix, summed until powers vanish."""
-    n = len(gen)
-    t = MultiPoly.variable(nvars, t_index)
-    rows = [[MultiPoly.constant(nvars, 1) if i == j else MultiPoly.zero(nvars)
-             for j in range(n)] for i in range(n)]
-    power = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    t_pow = MultiPoly.constant(nvars, 1)
-    for l in range(1, n + 1):
-        power = _int_matmul(power, gen)
-        if all(all(v == 0 for v in row) for row in power):
-            break
-        t_pow = t_pow.mul(t)
-        coef = Fraction(1, factorial(l))
-        for i in range(n):
-            for j in range(n):
-                if power[i][j]:
-                    rows[i][j] = rows[i][j].add(t_pow.scale(coef * power[i][j]))
-    return PolyMatrix(tuple(tuple(row) for row in rows))
 
 
 def builtin_generators(cartan: CartanMatrix) -> dict:
@@ -292,21 +211,35 @@ def builtin_generators(cartan: CartanMatrix) -> dict:
 
 
 def unipotent_product(word: ReducedWord, gens: dict) -> PolyMatrix:
-    """Product of one-parameter exponentials, last letter's factor leftmost.
+    """exp(t_r F_{j_r}) ... exp(t_1 F_{j_1}), built by column operations.
 
-    The first letter of the word carries t_1 and sits rightmost, so the
-    factor order on the page is exp(t_r F_{j_r}) ... exp(t_1 F_{j_1}).
+    The first letter of the word carries t_1 and its factor sits
+    rightmost.  Every generator must square to zero, so each factor is
+    I + t_k F; multiplying by it on the right adds t_k * F[a][b] times
+    column a to column b for each nonzero entry F[a][b].
     """
     r = len(word.letters)
     if r == 0:
         raise ValueError("empty word")
+    for i, gen in gens.items():
+        n = len(gen)
+        if any(sum(gen[a][c] * gen[c][b] for c in range(n))
+               for a in range(n) for b in range(n)):
+            raise ValueError(f"generator {i} does not square to zero")
     size = len(next(iter(gens.values())))
-    rows = [[MultiPoly.constant(r, 1) if i == j else MultiPoly.zero(r)
-             for j in range(size)] for i in range(size)]
-    out = PolyMatrix(tuple(tuple(row) for row in rows))
+    cols = [[MultiPoly.constant(r, 1) if i == j else MultiPoly.zero(r)
+             for i in range(size)] for j in range(size)]
     for k in range(r, 0, -1):
-        out = out.mul(exp_nilpotent(gens[word[k]], k, r))
-    return out
+        t = MultiPoly.variable(r, k)
+        gen = gens[word[k]]
+        new = list(cols)
+        for a, row in enumerate(gen):
+            for b, c in enumerate(row):
+                if c:
+                    step = t.scale(c)
+                    new[b] = [x.add(step.mul(y)) for x, y in zip(new[b], cols[a])]
+        cols = new
+    return PolyMatrix(tuple(zip(*cols)))
 
 
 def _det(entries) -> MultiPoly:

@@ -1,0 +1,108 @@
+"""Reference implementations that only the tests use.
+
+Each one is written independently of the library routine it checks:
+the derivative orders against ``valuation.value``, the full exponential
+series product against ``valuation.unipotent_product``, and weight
+reflections for the brute-force reduced-word oracle.
+"""
+
+from fractions import Fraction
+from math import factorial
+
+from crystal_polytope.rootdata import CartanMatrix, WeightVec, is_reduced, num_positive_roots
+from crystal_polytope.valuation import MultiPoly, PolyMatrix
+
+
+def chevalley_value(f: MultiPoly) -> tuple:
+    """Iterated derivative orders, first variable first.
+
+    At step k the entry is the largest a with (-d/dt_k)^a f nonzero.
+    Applying that operator a times and then setting t_k to zero keeps
+    exactly the terms of t_k-degree a, each coefficient times (-1)^a a!.
+    Matches the negated first-ranked valuation on every polynomial.
+    """
+    if f.is_zero():
+        raise ValueError("undefined on the zero polynomial")
+    terms = dict(f.terms)
+    out = []
+    for k in range(f.nvars):
+        a = max(e[k] for e in terms)
+        terms = {e[:k] + (0,) + e[k + 1:]: c * (-1) ** a * factorial(a)
+                 for e, c in terms.items() if e[k] == a}
+        assert terms and all(terms.values())
+        out.append(a)
+    return tuple(out)
+
+
+def _matmul(x: list, y: list) -> list:
+    n = len(x)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = MultiPoly.zero(x[0][0].nvars)
+            for k in range(n):
+                acc = acc.add(x[i][k].mul(y[k][j]))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _exp_nilpotent(gen, t_index: int, nvars: int) -> list:
+    """exp(t * gen) for an integer nilpotent matrix, summed until powers vanish."""
+    n = len(gen)
+    t = MultiPoly.variable(nvars, t_index)
+    rows = [[MultiPoly.constant(nvars, 1) if i == j else MultiPoly.zero(nvars)
+             for j in range(n)] for i in range(n)]
+    power = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    t_pow = MultiPoly.constant(nvars, 1)
+    for l in range(1, n + 1):
+        power = [[sum(power[i][k] * gen[k][j] for k in range(n)) for j in range(n)]
+                 for i in range(n)]
+        if all(all(v == 0 for v in row) for row in power):
+            break
+        t_pow = t_pow.mul(t)
+        coef = Fraction(1, factorial(l))
+        for i in range(n):
+            for j in range(n):
+                if power[i][j]:
+                    rows[i][j] = rows[i][j].add(t_pow.scale(coef * power[i][j]))
+    return rows
+
+
+def exp_series_product(word, gens: dict) -> PolyMatrix:
+    """exp(t_r F_{j_r}) ... exp(t_1 F_{j_1}) by full series and matrix products."""
+    r = len(word.letters)
+    size = len(next(iter(gens.values())))
+    out = [[MultiPoly.constant(r, 1) if i == j else MultiPoly.zero(r)
+            for j in range(size)] for i in range(size)]
+    for k in range(r, 0, -1):
+        out = _matmul(out, _exp_nilpotent(gens[word[k]], k, r))
+    return PolyMatrix(tuple(tuple(row) for row in out))
+
+
+def reflect(cartan: CartanMatrix, i: int, lam: WeightVec) -> WeightVec:
+    """Simple reflection of a weight: subtract its i-th pairing times the i-th root."""
+    ci = lam[i]
+    return WeightVec(tuple(lam[j] - ci * cartan.pairing(j, i) for j in cartan.index_set()))
+
+
+def all_reduced_words_longest(cartan: CartanMatrix) -> list:
+    """Every reduced word for the longest element, in application order.
+
+    Depth-first extension of reduced prefixes; fine at small rank.
+    """
+    target = num_positive_roots(cartan)
+    out = []
+
+    def grow(prefix: tuple):
+        if len(prefix) == target:
+            out.append(prefix)
+            return
+        for i in cartan.index_set():
+            cand = prefix + (i,)
+            if is_reduced(cartan, cand):
+                grow(cand)
+
+    grow(())
+    return out

@@ -19,12 +19,12 @@ from crystal_polytope.rootdata import (ReducedWord, WeightVec, cartan_builtin,
                                        fundamental, is_reduced, num_positive_roots,
                                        rho, root_to_weight, simple_root, weyl_dim_oracle)
 from crystal_polytope.valuation import (MultiPoly, ValuationOrder, builtin_generators,
-                                        chevalley_value, parse_poly, restrict_span,
-                                        section_span, unipotent_product, value,
-                                        value_set_of_span)
+                                        parse_poly, restrict_span, section_span,
+                                        unipotent_product, value, value_set_of_span)
 from crystal_polytope.zcrystal import (LambdaTwist, SequenceSpec, ZElement, eps,
                                        etilde, ftilde, phi, twist_eps, twist_etilde,
                                        twist_ftilde, twist_phi, twist_wt, wt)
+from reference import chevalley_value
 
 A2 = cartan_builtin("A", 2)
 C2 = cartan_builtin("C", 2)

@@ -124,6 +124,44 @@ def test_matrix_subcommand(capsys):
     assert doc["data"]["entries"][2][0] == "t1*t2"
 
 
+MATRIX_STDOUT = {
+    ("A", "2", "1,2,1"): (
+        '{"data": {"entries": [["1", "0", "0"], ["t3 + t1", "1", "0"], ["t1*t2", '
+        '"t2", "1"]], "size": 3}, '
+        '"meta": {"convention": "word is application-ordered, j_1 first", '
+        '"lambda": null, "word": [1, 2, 1]}}\n'
+    ),
+    ("A", "3", "1,2,1,3,2,1"): (
+        '{"data": {"entries": [["1", "0", "0", "0"], ["t6 + t3 + t1", "1", "0", '
+        '"0"], ["t3*t5 + t1*t5 + t1*t2", "t5 + t2", "1", "0"], ["t1*t2*t4", '
+        '"t2*t4", "t4", "1"]], "size": 4}, '
+        '"meta": {"convention": "word is application-ordered, j_1 first", '
+        '"lambda": null, "word": [1, 2, 1, 3, 2, 1]}}\n'
+    ),
+    ("C", "2", "1,2,1,2"): (
+        '{"data": {"entries": [["1", "0", "0", "0"], ["t3 + t1", "1", "0", "0"], '
+        '["t3*t4 + t1*t4 + t1*t2", "t4 + t2", "1", "0"], ["t1*t2*t3", "t2*t3", '
+        '"t3 + t1", "1"]], "size": 4}, '
+        '"meta": {"convention": "word is application-ordered, j_1 first", '
+        '"lambda": null, "word": [1, 2, 1, 2]}}\n'
+    ),
+    ("C", "2", "2,1,2,1"): (
+        '{"data": {"entries": [["1", "0", "0", "0"], ["t4 + t2", "1", "0", "0"], '
+        '["t2*t3", "t3 + t1", "1", "0"], ["t2*t3*t4", "t3*t4 + t1*t4 + t1*t2", '
+        '"t4 + t2", "1"]], "size": 4}, '
+        '"meta": {"convention": "word is application-ordered, j_1 first", '
+        '"lambda": null, "word": [2, 1, 2, 1]}}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("family,rank,word", sorted(MATRIX_STDOUT))
+def test_matrix_output_is_pinned(capsys, family, rank, word):
+    code, out, _ = run(capsys, ["matrix", "--type", family, "--rank", rank, "--word", word])
+    assert code == 0
+    assert out == MATRIX_STDOUT[family, rank, word]
+
+
 def test_ample_subcommand(capsys):
     code, out, _ = run(capsys, ["ample", "--type", "C", "--rank", "2",
                                 "--word", "1,2,1,2", "--lambda", "2,3"])
@@ -272,6 +310,24 @@ def test_theorem_check_enumerates_each_system_once(capsys, monkeypatch):
     assert code == 0
     # hrep_lattice and level k = 1 share the system at the weight itself
     assert len(systems) == len(set(systems)) == 3, systems
+
+
+def test_delta_hrep_builds_the_forms_once(capsys, monkeypatch):
+    from crystal_polytope import inequalities
+
+    calls = []
+    original = inequalities.delta_forms
+
+    def counting(xi):
+        calls.append(xi)
+        return original(xi)
+
+    monkeypatch.setattr(cli, "delta_forms", counting)
+    monkeypatch.setattr(inequalities, "delta_forms", counting)
+    code, _, _ = run(capsys, ["delta-hrep", "--type", "C", "--rank", "2",
+                              "--word", "1,2,1,2", "--lambda", "1,1"])
+    assert code == 0
+    assert len(calls) == 1, calls
 
 
 def _with_extra_row(forms):

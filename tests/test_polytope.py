@@ -88,6 +88,28 @@ def test_normalize_remove_redundant():
     assert cleaned.rows == (((-1,), 1), ((1,), 0))
 
 
+# normalize(delta_hrep(...)) rows at the default window, as the CLI prints them
+NORMALIZED_ROWS = {
+    ("C", (1, 2, 1, 2), 1): (
+        ((-1, 0, 0, 0), 1), ((0, 0, 0, -1), 1), ((0, 0, 0, 1), 0), ((0, 0, 1, -2), 0),
+        ((0, 1, -1, 0), 1), ((0, 2, -1, 0), 0), ((1, -1, 0, 0), 1), ((1, 0, 0, 0), 0),
+    ),
+    ("G", (1, 2, 1, 2, 1, 2), 2): (
+        ((-1, 0, 0, 0, 0, 0), 2), ((0, 0, 0, 0, 0, -1), 2), ((0, 0, 0, 0, 0, 1), 0),
+        ((0, 0, 0, 0, 1, -3), 0), ((0, 0, 0, 1, -1, 0), 2), ((0, 0, 0, 3, -2, 0), 0),
+        ((0, 0, 1, -2, 0, 0), 2), ((0, 0, 2, -3, 0, 0), 0), ((0, 2, -1, 0, 0, 0), 2),
+        ((0, 3, -1, 0, 0, 0), 0), ((1, -1, 0, 0, 0, 0), 2), ((1, 0, 0, 0, 0, 0), 0),
+    ),
+}
+
+
+@pytest.mark.parametrize("family,word,scale", sorted(NORMALIZED_ROWS))
+def test_normalized_delta_hrep_rows_are_pinned(family, word, scale):
+    xi = generate_xi(SequenceSpec(cartan_builtin(family, 2), ReducedWord(word)), len(word))
+    system = normalize(delta_hrep(xi, rho(2).scale(scale)))
+    assert system.rows == NORMALIZED_ROWS[family, word, scale]
+
+
 def test_implied_by_basic_cases():
     rows = [((1,), 0)]  # x >= 0
     assert _implied_by(rows, ((1,), 1), 1)       # x + 1 >= 0

@@ -7,12 +7,11 @@ import pytest
 
 from crystal_polytope.demazure import enumerate_demazure
 from crystal_polytope.rootdata import ReducedWord, WeightVec, cartan_builtin, fundamental, rho
-from crystal_polytope.valuation import (MultiPoly, PolyMatrix, ValuationOrder,
-                                        builtin_generators, chevalley_value,
+from crystal_polytope.valuation import (MultiPoly, ValuationOrder, builtin_generators,
                                         column_minors, parse_poly, products_closure,
-                                        restrict_span, section_span,
-                                        unipotent_product, value, value_quot,
-                                        value_set_of_span)
+                                        restrict_span, section_span, unipotent_product,
+                                        value, value_set_of_span)
+from reference import chevalley_value, exp_series_product
 
 A2 = cartan_builtin("A", 2)
 C2 = cartan_builtin("C", 2)
@@ -38,9 +37,8 @@ def test_poly_arithmetic():
     square = t1.add(t2).mul(t1.add(t2))
     assert square == parse_poly("t1^2 + 2*t1*t2 + t2^2", 2)
     assert t1.sub(t1).is_zero()
-    assert square.diff(1) == parse_poly("2*t1 + 2*t2", 2)
     assert square.subs_zero(2) == parse_poly("t1^2", 2)
-    assert square.total_degree() == 2 and square.var_degree(2) == 2
+    assert square.total_degree() == 2
 
 
 def test_value_golden_examples():
@@ -85,12 +83,6 @@ def test_value_is_a_valuation():
     assert value(f.mul(c), HI) == value(f, HI)
 
 
-def test_value_quot_subtracts():
-    num = parse_poly("t1", 3)
-    den = parse_poly("t2", 3)
-    assert value_quot(num, den, HI) == (-1, 1, 0)
-
-
 def test_chevalley_value_agrees_with_negated_value():
     rng = random.Random(11)
     for _ in range(60):
@@ -114,6 +106,27 @@ def test_a2_unipotent_product_entries():
     assert mat.at(3, 1) == parse_poly("t1*t2", 3)
     assert mat.at(3, 2) == parse_poly("t2", 3)
     assert mat.at(1, 2).is_zero() and mat.at(1, 3).is_zero() and mat.at(2, 3).is_zero()
+
+
+BUILTIN_CHARTS = [
+    ("A", 2, (1, 2, 1)), ("A", 3, (1, 2, 1, 3, 2, 1)),
+    ("A", 4, (1, 2, 1, 3, 2, 1, 4, 3, 2, 1)), ("A", 4, (4, 3, 2, 1)),
+    ("C", 2, (1, 2, 1, 2)), ("C", 2, (2, 1, 2, 1)),
+]
+
+
+@pytest.mark.parametrize("family,rank,letters", BUILTIN_CHARTS)
+def test_unipotent_product_matches_the_exponential_series(family, rank, letters):
+    gens = builtin_generators(cartan_builtin(family, rank))
+    for r in range(1, len(letters) + 1):
+        word = ReducedWord(letters[:r])
+        assert unipotent_product(word, gens) == exp_series_product(word, gens), r
+
+
+def test_unipotent_product_rejects_a_generator_that_does_not_square_to_zero():
+    shift = ((0, 0, 0), (1, 0, 0), (0, 1, 0))  # its square is the corner unit
+    with pytest.raises(ValueError):
+        unipotent_product(ReducedWord((1,)), {1: shift})
 
 
 def test_c2_generators_square_to_zero_blocks():
@@ -181,12 +194,3 @@ def test_value_set_counts_independent_leading_terms():
     assert value_set_of_span(span, HI) == frozenset({(-1, 0), (0, -1)})
     dependent = [parse_poly("t1", 2), parse_poly("2*t1", 2)]
     assert value_set_of_span(dependent, HI) == frozenset({(-1, 0)})
-
-
-def test_poly_matrix_multiplication():
-    one = MultiPoly.constant(1, 1)
-    zero = MultiPoly.zero(1)
-    t = parse_poly("t1", 1)
-    m = PolyMatrix(((one, zero), (t, one)))
-    sq = m.mul(m)
-    assert sq.at(2, 1) == parse_poly("2*t1", 1)
