@@ -21,8 +21,8 @@ from .inequalities import ample_check, ample_forms, delta_forms, delta_hrep, gen
 from .polytope import lattice_points, normalize, system_from_forms
 from .rootdata import (CartanMatrix, ReducedWord, WeightVec, cartan_builtin, is_reduced,
                        num_positive_roots, weyl_dim_oracle)
-from .valuation import (ValuationOrder, builtin_generators, parse_poly, section_span,
-                        unipotent_product, value, value_set_of_span)
+from .valuation import (ValuationOrder, builtin_generators, parse_poly, products_closure,
+                        section_span, unipotent_product, value, value_set_of_span)
 from .zcrystal import SequenceSpec, ZElement
 
 CONVENTION = "word is application-ordered, j_1 first"
@@ -181,6 +181,8 @@ def _dispatch(args) -> int:
         raise ValueError(f"word {list(word.letters)} is not reduced")
     spec = SequenceSpec(cartan, word)
     lam = WeightVec(args.lam) if getattr(args, "lam", None) is not None else None
+    if lam is not None and lam.rank != cartan.rank:
+        raise ValueError("weight rank mismatch")
     meta = {"word": list(word.letters),
             "lambda": list(lam.coords) if lam else None,
             "convention": CONVENTION}
@@ -317,7 +319,8 @@ def _theorem_check(args, cartan, spec, word, lam, meta) -> int:
         record("value_set", exps == set(dem.coords),
                f"{len(exps)} valuation exponents vs {len(dem)} crystal points")
         if args.degree_cap is not None:
-            cone = value_set_of_span(span, ValuationOrder.HI, degree_cap=args.degree_cap)
+            closure = products_closure(span, args.degree_cap)
+            cone = value_set_of_span(closure, ValuationOrder.HI)
             good = all(membership(spec, ZElement.from_coords(tuple(-x for x in v)))
                        for v in cone)
             record("cone_values_members", good,

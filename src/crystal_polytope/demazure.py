@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .binfinity import _star_of_member, membership, string_param
+from .binfinity import _star_of_member, string_param
 from .rootdata import CartanMatrix, ReducedWord, WeightVec, is_reduced, num_positive_roots
 from .zcrystal import LambdaTwist, SequenceSpec, ZElement, eps, ftilde, twist_ftilde
 
@@ -123,13 +123,14 @@ def string_points(cartan: CartanMatrix, cut: DemazureSet) -> frozenset:
     not cut again.  When the word reaches the longest element the peel
     is exhaustive and the residue is checked; for shorter words the
     first coordinates of the string data are reported as-is.
+
+    No separate membership check runs.  On a longest word the exhaustive
+    peel raises ``ValueError`` exactly on the non-members; on a shorter
+    word every point of a cut is reached by lowering from zero, so it is
+    a member by construction.
     """
     word = cut.word
     spec = SequenceSpec(cartan, word)
     exhaustive = len(word.letters) == num_positive_roots(cartan)
-    out = set()
-    for c in cut.coords:
-        x = ZElement.from_coords(c)
-        assert membership(spec, x)
-        out.add(string_param(spec, x, word.letters, require_exhaustive=exhaustive))
-    return frozenset(out)
+    return frozenset(string_param(spec, ZElement.from_coords(c), word.letters,
+                                  require_exhaustive=exhaustive) for c in cut.coords)

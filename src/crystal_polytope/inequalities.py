@@ -3,12 +3,15 @@
 Forms are affine functions of the coordinates a_1, a_2, ... with an
 affine-in-weight constant: integer coordinate coefficients, integer
 coefficients on the weight entries, and an integer absolute constant.
-The descent operator at a position rewrites a form against one of two
-template forms attached to that position (next or previous occurrence
-of the same letter); closing the seed forms under all descent operators
-yields the inequality system whose nonnegativity locus is the twisted
-polytope, provided every constant stays nonnegative at the chosen
-weight (the ampleness check).
+The descent operator at a position rewrites a form against one
+template, the form that joins two consecutive occurrences of the
+position's letter: the pair starting at the position when the
+coefficient there is positive, the pair ending at it when negative
+(Nakashima-Zelevinsky, Adv. Math. 131, 1997).
+Closing the seed forms under all descent operators yields the
+inequality system whose nonnegativity locus is the twisted polytope,
+provided every constant stays nonnegative at the chosen weight (the
+ampleness check).
 
 Certification is computational: the closure must stabilize within the
 round cap, and re-running it with the scan window extended by the rank
@@ -26,9 +29,9 @@ from .zcrystal import SequenceSpec
 CLOSURE_ROUNDS = 50  # cap on the descent rounds of one closure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class AffineForm:
-    """coeffs . a + lam_coeffs . weight + const, all integer."""
+    """coeffs . a + lam_coeffs . weight + const, all integer; ordered field by field."""
 
     coeffs: tuple  # sorted tuple of (position, int), zero entries dropped
     lam_coeffs: tuple  # per weight entry, length = rank
@@ -71,56 +74,44 @@ class AffineForm:
             acc += c * (coords[p - 1] if p <= len(coords) else 0)
         return acc
 
-    def sort_key(self):
-        return (self.coeffs, self.lam_coeffs, self.const)
-
 
 def var_form(spec: SequenceSpec, k: int) -> AffineForm:
     return AffineForm.make({k: 1}, (0,) * spec.cartan.rank)
 
 
 def lambda_form(spec: SequenceSpec, i: int) -> AffineForm:
-    """Weight entry i minus the pairing contributions up to (and at) letter i's first slot."""
-    first = spec.first_position_of(i)
-    coeffs = {first: -1}
-    for j in range(1, first):
-        coeffs[j] = -spec.cartan.pairing(i, spec.letter(j))
-    lam = tuple(1 if t == i else 0 for t in spec.cartan.index_set())
-    return AffineForm.make(coeffs, lam)
-
-
-def plus_form(spec: SequenceSpec, k: int) -> AffineForm:
-    """Template toward the next occurrence of the letter at position k."""
-    i = spec.letter(k)
-    kp = spec.next_same_letter(k)
-    coeffs = {k: 1, kp: 1}
-    for j in range(k + 1, kp):
-        coeffs[j] = spec.cartan.pairing(i, spec.letter(j))
-    return AffineForm.make(coeffs, (0,) * spec.cartan.rank)
+    """The weight cap of letter i: the template at its first slot, negated."""
+    return AffineForm.make({}, (0,) * spec.cartan.rank).minus(
+        minus_form(spec, spec.first_position_of(i)))
 
 
 def minus_form(spec: SequenceSpec, k: int) -> AffineForm:
-    """Template toward the previous occurrence, or the weight cap when there is none."""
+    """Template joining the previous occurrence km of k's letter to k.
+
+    a_km + a_k plus the pairing-weighted entries strictly between them;
+    with no previous occurrence (km = 0) the pair starts at the weight,
+    which enters with coefficient -1 on k's letter.
+    """
     i = spec.letter(k)
     km = spec.prev_same_letter(k)
+    coeffs = {j: spec.cartan.pairing(i, spec.letter(j)) for j in range(km + 1, k)}
+    coeffs[k] = 1
     if km > 0:
-        coeffs = {km: 1, k: 1}
-        for j in range(km + 1, k):
-            coeffs[j] = spec.cartan.pairing(i, spec.letter(j))
-        return AffineForm.make(coeffs, (0,) * spec.cartan.rank)
-    coeffs = {k: 1}
-    for j in range(1, k):
-        coeffs[j] = spec.cartan.pairing(i, spec.letter(j))
-    lam = tuple(-1 if t == i else 0 for t in spec.cartan.index_set())
+        coeffs[km] = 1
+    lam = tuple(-1 if t == i and km == 0 else 0 for t in spec.cartan.index_set())
     return AffineForm.make(coeffs, lam)
 
 
 def shat(spec: SequenceSpec, psi: AffineForm, k: int) -> AffineForm:
-    """Descent of a form at position k; identity when the coefficient vanishes."""
+    """Descent of a form at position k; identity when the coefficient vanishes.
+
+    A positive coefficient descends against the template of the pair
+    starting at k, a negative one against the pair ending at k.
+    """
     ck = psi.coefficient(k)
     if ck == 0:
         return psi
-    template = plus_form(spec, k) if ck > 0 else minus_form(spec, k)
+    template = minus_form(spec, spec.next_same_letter(k) if ck > 0 else k)
     return psi.minus(template, ck)
 
 
@@ -191,7 +182,7 @@ def _restricted(forms, r: int) -> set:
 
 def delta_forms(xi: XiSet) -> list:
     """Closure forms restricted to the base word's positions, deduplicated."""
-    return sorted(_restricted(xi.forms, len(xi.spec.base.letters)), key=lambda f: f.sort_key())
+    return sorted(_restricted(xi.forms, len(xi.spec.base.letters)))
 
 
 def ample_forms(xi: XiSet, lam: WeightVec) -> list:

@@ -91,10 +91,6 @@ class MultiPoly:
                 d[e] = d.get(e, Fraction(0)) + c1 * c2
         return MultiPoly.make(self.nvars, d)
 
-    def subs_zero(self, k: int) -> "MultiPoly":
-        return MultiPoly.make(self.nvars,
-                              {e: c for e, c in self.terms if e[k - 1] == 0})
-
     def total_degree(self) -> int:
         return max((sum(e) for e, _ in self.terms), default=0)
 
@@ -307,16 +303,9 @@ def restrict_span(span: list, r: int) -> list:
     """
     out = []
     for f in span:
-        g = f
-        for k in range(r + 1, f.nvars + 1):
-            g = g.subs_zero(k)
-        if g.is_zero():
-            continue
-        cut = {}
-        for e, c in g.terms:
-            assert all(x == 0 for x in e[r:])
-            cut[e[:r]] = c
-        out.append(MultiPoly.make(r, cut))
+        cut = {e[:r]: c for e, c in f.terms if not any(e[r:])}
+        if cut:
+            out.append(MultiPoly.make(r, cut))
     return out
 
 
@@ -343,9 +332,8 @@ def products_closure(polys: list, degree_cap: int) -> list:
     return out
 
 
-def value_set_of_span(polys: list, order: ValuationOrder,
-                      degree_cap: int | None = None) -> frozenset:
-    """Values achieved on the linear span (optionally of a product closure).
+def value_set_of_span(polys: list, order: ValuationOrder) -> frozenset:
+    """Values achieved on the linear span of the polynomials.
 
     Exact Gaussian elimination: each polynomial is reduced against the
     pivots found so far (keyed by leading monomial under the order);
@@ -353,11 +341,8 @@ def value_set_of_span(polys: list, order: ValuationOrder,
     The achieved set is unchanged by working degree by degree, since
     reduction never mixes monomials across the chosen order.
     """
-    work = list(polys)
-    if degree_cap is not None:
-        work = products_closure(work, degree_cap)
     pivots = {}
-    for f in work:
+    for f in polys:
         g = f
         while not g.is_zero():
             e, c = g.leading(order)

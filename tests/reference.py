@@ -2,15 +2,19 @@
 
 Each one is written independently of the library routine it checks:
 the derivative orders against ``valuation.value``, the full exponential
-series product against ``valuation.unipotent_product``, and weight
-reflections for the brute-force reduced-word oracle.
+series product against ``valuation.unipotent_product``, weight
+reflections for the brute-force reduced-word oracle, and the two-template
+descent (a form toward the next and one toward the previous occurrence
+of a letter) against ``inequalities.shat`` and its single template.
 """
 
 from fractions import Fraction
 from math import factorial
 
+from crystal_polytope.inequalities import AffineForm
 from crystal_polytope.rootdata import CartanMatrix, WeightVec, is_reduced, num_positive_roots
 from crystal_polytope.valuation import MultiPoly, PolyMatrix
+from crystal_polytope.zcrystal import SequenceSpec
 
 
 def chevalley_value(f: MultiPoly) -> tuple:
@@ -106,3 +110,48 @@ def all_reduced_words_longest(cartan: CartanMatrix) -> list:
 
     grow(())
     return out
+
+
+def lambda_form(spec: SequenceSpec, i: int) -> AffineForm:
+    """Weight entry i minus the pairing contributions up to (and at) letter i's first slot."""
+    first = spec.first_position_of(i)
+    coeffs = {first: -1}
+    for j in range(1, first):
+        coeffs[j] = -spec.cartan.pairing(i, spec.letter(j))
+    lam = tuple(1 if t == i else 0 for t in spec.cartan.index_set())
+    return AffineForm.make(coeffs, lam)
+
+
+def plus_form(spec: SequenceSpec, k: int) -> AffineForm:
+    """Template toward the next occurrence of the letter at position k."""
+    i = spec.letter(k)
+    kp = spec.next_same_letter(k)
+    coeffs = {k: 1, kp: 1}
+    for j in range(k + 1, kp):
+        coeffs[j] = spec.cartan.pairing(i, spec.letter(j))
+    return AffineForm.make(coeffs, (0,) * spec.cartan.rank)
+
+
+def minus_form(spec: SequenceSpec, k: int) -> AffineForm:
+    """Template toward the previous occurrence, or the weight cap when there is none."""
+    i = spec.letter(k)
+    km = spec.prev_same_letter(k)
+    if km > 0:
+        coeffs = {km: 1, k: 1}
+        for j in range(km + 1, k):
+            coeffs[j] = spec.cartan.pairing(i, spec.letter(j))
+        return AffineForm.make(coeffs, (0,) * spec.cartan.rank)
+    coeffs = {k: 1}
+    for j in range(1, k):
+        coeffs[j] = spec.cartan.pairing(i, spec.letter(j))
+    lam = tuple(-1 if t == i else 0 for t in spec.cartan.index_set())
+    return AffineForm.make(coeffs, lam)
+
+
+def descent(spec: SequenceSpec, psi: AffineForm, k: int) -> AffineForm:
+    """Descent at k against the next-occurrence template or the previous-occurrence one."""
+    ck = psi.coefficient(k)
+    if ck == 0:
+        return psi
+    template = plus_form(spec, k) if ck > 0 else minus_form(spec, k)
+    return psi.minus(template, ck)

@@ -75,14 +75,107 @@ def test_delta_hrep_text_golden(capsys):
     ]
 
 
-def test_delta_hrep_json_mirror_fields(capsys):
-    code, out, _ = run(capsys, ["delta-hrep", "--type", "A", "--rank", "2",
-                                "--word", "1,2,1", "--lambda", "1,1"])
+# Exact delta-hrep JSON stdout at rho; the forms field lists the delta
+# forms in the AffineForm order.
+DELTA_HREP_STDOUT = {
+    ("A", "2", "1,2,1"): (
+        '{"data": {"forms": [{"coeffs": [-1, 0, 0], "const_abs": 0, "const_lambda": [1, '
+        '0]}, {"coeffs": [1, 0, 0], "const_abs": 0, "const_lambda": [0, 0]}, '
+        '{"coeffs": [1, -1, 0], "const_abs": 0, "const_lambda": [0, 1]}, {"coeffs": [0, 1, '
+        '0], "const_abs": 0, "const_lambda": [0, 0]}, {"coeffs": [0, 1, -1], '
+        '"const_abs": 0, "const_lambda": [0, 0]}, {"coeffs": [0, 0, -1], "const_abs": 0, '
+        '"const_lambda": [0, 1]}, {"coeffs": [0, 0, 1], "const_abs": 0, '
+        '"const_lambda": [0, 0]}], '
+        '"hrep_text": ["1 + 0*L1 + 0*L2 + -1*a1 + 0*a2 + 0*a3 >= 0", '
+        '"1 + 0*L1 + 0*L2 + 0*a1 + 0*a2 + -1*a3 >= 0", '
+        '"0 + 0*L1 + 0*L2 + 0*a1 + 0*a2 + 1*a3 >= 0", '
+        '"0 + 0*L1 + 0*L2 + 0*a1 + 1*a2 + -1*a3 >= 0", '
+        '"1 + 0*L1 + 0*L2 + 1*a1 + -1*a2 + 0*a3 >= 0", '
+        '"0 + 0*L1 + 0*L2 + 1*a1 + 0*a2 + 0*a3 >= 0"], "rows": [[[-1, 0, 0], 1], [[0, 0, '
+        '-1], 1], [[0, 0, 1], 0], [[0, 1, -1], 0], [[1, -1, 0], 1], [[1, 0, 0], 0]]}, '
+        '"meta": {"convention": "word is application-ordered, j_1 first", "lambda": [1, '
+        '1], "word": [1, 2, 1]}}\n'
+    ),
+    ("C", "2", "1,2,1,2"): (
+        '{"data": {"forms": [{"coeffs": [-1, 0, 0, 0], "const_abs": 0, "const_lambda": [1, '
+        '0]}, {"coeffs": [1, 0, 0, 0], "const_abs": 0, "const_lambda": [0, 0]}, '
+        '{"coeffs": [1, -1, 0, 0], "const_abs": 0, "const_lambda": [0, 1]}, {"coeffs": [0, '
+        '1, 0, 0], "const_abs": 0, "const_lambda": [0, 0]}, {"coeffs": [0, 1, -1, 0], '
+        '"const_abs": 0, "const_lambda": [0, 1]}, {"coeffs": [0, 2, -1, 0], '
+        '"const_abs": 0, "const_lambda": [0, 0]}, {"coeffs": [0, 0, 1, 0], "const_abs": 0, '
+        '"const_lambda": [0, 0]}, {"coeffs": [0, 0, 1, -2], "const_abs": 0, '
+        '"const_lambda": [0, 0]}, {"coeffs": [0, 0, 1, -1], "const_abs": 0, '
+        '"const_lambda": [0, 0]}, {"coeffs": [0, 0, 0, -1], "const_abs": 0, '
+        '"const_lambda": [0, 1]}, {"coeffs": [0, 0, 0, 1], "const_abs": 0, '
+        '"const_lambda": [0, 0]}, {"coeffs": [0, 0, 0, 2], "const_abs": 0, '
+        '"const_lambda": [0, 0]}], '
+        '"hrep_text": ["1 + 0*L1 + 0*L2 + -1*a1 + 0*a2 + 0*a3 + 0*a4 >= 0", '
+        '"1 + 0*L1 + 0*L2 + 0*a1 + 0*a2 + 0*a3 + -1*a4 >= 0", '
+        '"0 + 0*L1 + 0*L2 + 0*a1 + 0*a2 + 0*a3 + 1*a4 >= 0", '
+        '"0 + 0*L1 + 0*L2 + 0*a1 + 0*a2 + 1*a3 + -2*a4 >= 0", '
+        '"1 + 0*L1 + 0*L2 + 0*a1 + 1*a2 + -1*a3 + 0*a4 >= 0", '
+        '"0 + 0*L1 + 0*L2 + 0*a1 + 2*a2 + -1*a3 + 0*a4 >= 0", '
+        '"1 + 0*L1 + 0*L2 + 1*a1 + -1*a2 + 0*a3 + 0*a4 >= 0", '
+        '"0 + 0*L1 + 0*L2 + 1*a1 + 0*a2 + 0*a3 + 0*a4 >= 0"], "rows": [[[-1, 0, 0, 0], 1], '
+        '[[0, 0, 0, -1], 1], [[0, 0, 0, 1], 0], [[0, 0, 1, -2], 0], [[0, 1, -1, 0], 1], '
+        '[[0, 2, -1, 0], 0], [[1, -1, 0, 0], 1], [[1, 0, 0, 0], 0]]}, '
+        '"meta": {"convention": "word is application-ordered, j_1 first", "lambda": [1, '
+        '1], "word": [1, 2, 1, 2]}}\n'
+    ),
+    ("G", "2", "1,2,1,2,1,2"): (
+        '{"data": {"forms": [{"coeffs": [-1, 0, 0, 0, 0, 0], "const_abs": 0, '
+        '"const_lambda": [1, 0]}, {"coeffs": [1, 0, 0, 0, 0, 0], "const_abs": 0, '
+        '"const_lambda": [0, 0]}, {"coeffs": [1, -1, 0, 0, 0, 0], "const_abs": 0, '
+        '"const_lambda": [0, 1]}, {"coeffs": [0, 1, 0, 0, 0, 0], "const_abs": 0, '
+        '"const_lambda": [0, 0]}, {"coeffs": [0, 2, -1, 0, 0, 0], "const_abs": 0, '
+        '"const_lambda": [0, 1]}, {"coeffs": [0, 3, -1, 0, 0, 0], "const_abs": 0, '
+        '"const_lambda": [0, 0]}, {"coeffs": [0, 0, 1, 0, 0, 0], "const_abs": 0, '
+        '"const_lambda": [0, 0]}, {"coeffs": [0, 0, 1, -2, 0, 0], "const_abs": 0, '
+        '"const_lambda": [0, 1]}, {"coeffs": [0, 0, 1, -1, 0, 0], "const_abs": 0, '
+        '"const_lambda": [0, 0]}, {"coeffs": [0, 0, 2, -3, 0, 0], "const_abs": 0, '
+        '"const_lambda": [0, 0]}, {"coeffs": [0, 0, 0, 1, 0, 0], "const_abs": 0, '
+        '"const_lambda": [0, 0]}, {"coeffs": [0, 0, 0, 1, -1, 0], "const_abs": 0, '
+        '"const_lambda": [0, 1]}, {"coeffs": [0, 0, 0, 2, -1, 0], "const_abs": 0, '
+        '"const_lambda": [0, 0]}, {"coeffs": [0, 0, 0, 3, -2, 0], "const_abs": 0, '
+        '"const_lambda": [0, 0]}, {"coeffs": [0, 0, 0, 3, -1, 0], "const_abs": 0, '
+        '"const_lambda": [0, 0]}, {"coeffs": [0, 0, 0, 0, 1, 0], "const_abs": 0, '
+        '"const_lambda": [0, 0]}, {"coeffs": [0, 0, 0, 0, 1, -3], "const_abs": 0, '
+        '"const_lambda": [0, 0]}, {"coeffs": [0, 0, 0, 0, 1, -2], "const_abs": 0, '
+        '"const_lambda": [0, 0]}, {"coeffs": [0, 0, 0, 0, 1, -1], "const_abs": 0, '
+        '"const_lambda": [0, 0]}, {"coeffs": [0, 0, 0, 0, 2, -3], "const_abs": 0, '
+        '"const_lambda": [0, 0]}, {"coeffs": [0, 0, 0, 0, 0, -1], "const_abs": 0, '
+        '"const_lambda": [0, 1]}, {"coeffs": [0, 0, 0, 0, 0, 1], "const_abs": 0, '
+        '"const_lambda": [0, 0]}, {"coeffs": [0, 0, 0, 0, 0, 2], "const_abs": 0, '
+        '"const_lambda": [0, 0]}, {"coeffs": [0, 0, 0, 0, 0, 3], "const_abs": 0, '
+        '"const_lambda": [0, 0]}], '
+        '"hrep_text": ["1 + 0*L1 + 0*L2 + -1*a1 + 0*a2 + 0*a3 + 0*a4 + 0*a5 + 0*a6 >= 0", '
+        '"1 + 0*L1 + 0*L2 + 0*a1 + 0*a2 + 0*a3 + 0*a4 + 0*a5 + -1*a6 >= 0", '
+        '"0 + 0*L1 + 0*L2 + 0*a1 + 0*a2 + 0*a3 + 0*a4 + 0*a5 + 1*a6 >= 0", '
+        '"0 + 0*L1 + 0*L2 + 0*a1 + 0*a2 + 0*a3 + 0*a4 + 1*a5 + -3*a6 >= 0", '
+        '"1 + 0*L1 + 0*L2 + 0*a1 + 0*a2 + 0*a3 + 1*a4 + -1*a5 + 0*a6 >= 0", '
+        '"0 + 0*L1 + 0*L2 + 0*a1 + 0*a2 + 0*a3 + 3*a4 + -2*a5 + 0*a6 >= 0", '
+        '"1 + 0*L1 + 0*L2 + 0*a1 + 0*a2 + 1*a3 + -2*a4 + 0*a5 + 0*a6 >= 0", '
+        '"0 + 0*L1 + 0*L2 + 0*a1 + 0*a2 + 2*a3 + -3*a4 + 0*a5 + 0*a6 >= 0", '
+        '"1 + 0*L1 + 0*L2 + 0*a1 + 2*a2 + -1*a3 + 0*a4 + 0*a5 + 0*a6 >= 0", '
+        '"0 + 0*L1 + 0*L2 + 0*a1 + 3*a2 + -1*a3 + 0*a4 + 0*a5 + 0*a6 >= 0", '
+        '"1 + 0*L1 + 0*L2 + 1*a1 + -1*a2 + 0*a3 + 0*a4 + 0*a5 + 0*a6 >= 0", '
+        '"0 + 0*L1 + 0*L2 + 1*a1 + 0*a2 + 0*a3 + 0*a4 + 0*a5 + 0*a6 >= 0"], "rows": [[[-1, '
+        '0, 0, 0, 0, 0], 1], [[0, 0, 0, 0, 0, -1], 1], [[0, 0, 0, 0, 0, 1], 0], [[0, 0, 0, '
+        '0, 1, -3], 0], [[0, 0, 0, 1, -1, 0], 1], [[0, 0, 0, 3, -2, 0], 0], [[0, 0, 1, -2, '
+        '0, 0], 1], [[0, 0, 2, -3, 0, 0], 0], [[0, 2, -1, 0, 0, 0], 1], [[0, 3, -1, 0, 0, '
+        '0], 0], [[1, -1, 0, 0, 0, 0], 1], [[1, 0, 0, 0, 0, 0], 0]]}, '
+        '"meta": {"convention": "word is application-ordered, j_1 first", "lambda": [1, '
+        '1], "word": [1, 2, 1, 2, 1, 2]}}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("family,rank,word", sorted(DELTA_HREP_STDOUT))
+def test_delta_hrep_json_is_pinned(capsys, family, rank, word):
+    code, out, _ = run(capsys, ["delta-hrep", "--type", family, "--rank", rank,
+                                "--word", word, "--lambda", "1,1"])
     assert code == 0
-    doc = json.loads(out)
-    forms = doc["data"]["forms"]
-    assert all(set(f) == {"const_abs", "const_lambda", "coeffs"} for f in forms)
-    assert {"const_abs": 0, "const_lambda": [1, 0], "coeffs": [-1, 0, 0]} in forms
+    assert out == DELTA_HREP_STDOUT[family, rank, word]
 
 
 def test_delta_points_equal_enumerate(capsys):
@@ -181,10 +274,11 @@ def test_theorem_check_passes_c2(capsys):
     assert {"route_agreement", "ample", "semigroup_levels"} <= names
 
 
-# Exact theorem-check stdout at default flags.  The battery's output is
-# kept byte-identical unless a change says why it moved.
+# Exact theorem-check stdout at default flags, or with the extra flags
+# given.  The battery's output is kept byte-identical unless a change says
+# why it moved.
 THEOREM_CHECK_STDOUT = {
-    ("A", "2", "1,2,1", "1,1"): (
+    ("A", "2", "1,2,1", "1,1", ()): (
         '{"data": {"checks": [{"detail": "8 twisted-sweep points vs 8 cut points", '
         '"name": "route_agreement", "pass": true}, {"detail": "8 points vs oracle 8", '
         '"name": "dimension", "pass": true}, {"detail": "11 forms, stabilized=True", '
@@ -200,7 +294,7 @@ THEOREM_CHECK_STDOUT = {
         '"meta": {"convention": "word is application-ordered, j_1 first", "lambda": [1, '
         '1], "word": [1, 2, 1]}}\n'
     ),
-    ("C", "2", "1,2,1,2", "1,1"): (
+    ("C", "2", "1,2,1,2", "1,1", ()): (
         '{"data": {"checks": [{"detail": "16 twisted-sweep points vs 16 cut points", '
         '"name": "route_agreement", "pass": true}, {"detail": "16 points vs oracle 16", '
         '"name": "dimension", "pass": true}, {"detail": "17 forms, stabilized=True", '
@@ -214,7 +308,7 @@ THEOREM_CHECK_STDOUT = {
         '"meta": {"convention": "word is application-ordered, j_1 first", "lambda": [1, '
         '1], "word": [1, 2, 1, 2]}}\n'
     ),
-    ("C", "2", "1,2,1,2", "2,2"): (
+    ("C", "2", "1,2,1,2", "2,2", ()): (
         '{"data": {"checks": [{"detail": "81 twisted-sweep points vs 81 cut points", '
         '"name": "route_agreement", "pass": true}, {"detail": "81 points vs oracle 81", '
         '"name": "dimension", "pass": true}, {"detail": "17 forms, stabilized=True", '
@@ -229,7 +323,7 @@ THEOREM_CHECK_STDOUT = {
         '2], "word": [1, 2, 1, 2]}}\n'
     ),
     # a prefix word: the value set comes from the span of the prefix itself
-    ("A", "2", "1,2", "1,1"): (
+    ("A", "2", "1,2", "1,1", ()): (
         '{"data": {"checks": [{"detail": "5 twisted-sweep points vs 5 cut points", '
         '"name": "route_agreement", "pass": true}, {"detail": "8 forms, stabilized=True", '
         '"name": "closure_certified", "pass": true}, '
@@ -243,7 +337,7 @@ THEOREM_CHECK_STDOUT = {
         '1], "word": [1, 2]}}\n'
     ),
     # a palindrome: the string side peels the cut the route check made
-    ("A", "2", "1,2,1", "2,2"): (
+    ("A", "2", "1,2,1", "2,2", ()): (
         '{"data": {"checks": [{"detail": "27 twisted-sweep points vs 27 cut points", '
         '"name": "route_agreement", "pass": true}, {"detail": "27 points vs oracle 27", '
         '"name": "dimension", "pass": true}, {"detail": "11 forms, stabilized=True", '
@@ -259,15 +353,50 @@ THEOREM_CHECK_STDOUT = {
         '"meta": {"convention": "word is application-ordered, j_1 first", "lambda": [2, '
         '2], "word": [1, 2, 1]}}\n'
     ),
+    # products of sections up to degree 2 give values in the crystal image
+    ("A", "2", "1,2,1", "1,1", ("--degree-cap", "2")): (
+        '{"data": {"checks": [{"detail": "8 twisted-sweep points vs 8 cut points", '
+        '"name": "route_agreement", "pass": true}, {"detail": "8 points vs oracle 8", '
+        '"name": "dimension", "pass": true}, {"detail": "11 forms, stabilized=True", '
+        '"name": "closure_certified", "pass": true}, '
+        '{"detail": "constants nonnegative at this weight", "name": "ample", '
+        '"pass": true}, {"detail": "8 lattice points vs 8 crystal points", '
+        '"name": "hrep_lattice", "pass": true}, {"detail": "k=0:ok,k=1:ok,k=2:ok", '
+        '"name": "semigroup_levels", "pass": true}, '
+        '{"detail": "8 star-chart images vs 8 string points", '
+        '"name": "eta_string_bijection", "pass": true}, '
+        '{"detail": "8 valuation exponents vs 8 crystal points", "name": "value_set", '
+        '"pass": true}, {"detail": "7 closure values up to degree 2", '
+        '"name": "cone_values_members", "pass": true}], "failed": []}, '
+        '"meta": {"convention": "word is application-ordered, j_1 first", "lambda": [1, '
+        '1], "word": [1, 2, 1]}}\n'
+    ),
+    # the default window leaves this closure uncertified, hence exit 2
+    ("A", "3", "1,2,1,3,2,1", "1,1,1", ("--degree-cap", "2")): (
+        '{"data": {"checks": [{"detail": "64 twisted-sweep points vs 64 cut points", '
+        '"name": "route_agreement", "pass": true}, {"detail": "64 points vs oracle 64", '
+        '"name": "dimension", "pass": true}, {"detail": "28 forms, stabilized=True", '
+        '"name": "closure_certified", "pass": false}, '
+        '{"detail": "constants nonnegative at this weight", "name": "ample", '
+        '"pass": false}, {"detail": "k=0:ok,k=1:ok,k=2:ok", "name": "semigroup_levels", '
+        '"pass": true}, {"detail": "64 star-chart images vs 64 string points", '
+        '"name": "eta_string_bijection", "pass": true}, '
+        '{"detail": "64 valuation exponents vs 64 crystal points", "name": "value_set", '
+        '"pass": true}, {"detail": "12 closure values up to degree 2", '
+        '"name": "cone_values_members", "pass": true}], "failed": ["closure_certified", '
+        '"ample"]}, "meta": {"convention": "word is application-ordered, j_1 first", '
+        '"lambda": [1, 1, 1], "word": [1, 2, 1, 3, 2, 1]}}\n'
+    ),
 }
 
 
-@pytest.mark.parametrize("family,rank,word,lam", sorted(THEOREM_CHECK_STDOUT))
-def test_theorem_check_output_is_pinned(capsys, family, rank, word, lam):
+@pytest.mark.parametrize("family,rank,word,lam,extra", sorted(THEOREM_CHECK_STDOUT))
+def test_theorem_check_output_is_pinned(capsys, family, rank, word, lam, extra):
     code, out, _ = run(capsys, ["theorem-check", "--type", family, "--rank", rank,
-                                "--word", word, "--lambda", lam])
-    assert code == 0
-    assert out == THEOREM_CHECK_STDOUT[family, rank, word, lam]
+                                "--word", word, "--lambda", lam, *extra])
+    expected = THEOREM_CHECK_STDOUT[family, rank, word, lam, extra]
+    assert code == (2 if json.loads(expected)["data"]["failed"] else 0)
+    assert out == expected
 
 
 @pytest.mark.parametrize("family,rank,word,cuts", [
@@ -406,6 +535,16 @@ def test_usage_errors_exit_one(capsys):
     code, out, _ = run(capsys, ["valuation", "--vars", "1", "--order", "hi",
                                 "--poly", "t1", "--format", "csv"])
     assert code == 0 and out.strip() == "-1"
+
+
+@pytest.mark.parametrize("command", ["ample", "delta-points", "delta-hrep"])
+def test_weight_of_the_wrong_rank_is_rejected(capsys, command):
+    # the default window leaves this closure uncertified, so only the rank
+    # check at the command line catches the short weight
+    code, out, err = run(capsys, [command, "--type", "A", "--rank", "3",
+                                  "--word", "1,2,1,3,2,1", "--lambda", "1,1"])
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == "error: weight rank mismatch"
 
 
 def test_gcm_file_equivalent_to_builtin(capsys, tmp_path):

@@ -4,10 +4,11 @@ import pytest
 
 from crystal_polytope import demazure
 from crystal_polytope.binfinity import membership
-from crystal_polytope.demazure import btilde_cut, enumerate_demazure, string_points
+from crystal_polytope.demazure import (DemazureSet, btilde_cut, enumerate_demazure,
+                                       string_points)
 from crystal_polytope.rootdata import (ReducedWord, WeightVec, cartan_builtin,
                                        fundamental, rho, weyl_dim_oracle)
-from crystal_polytope.zcrystal import SequenceSpec
+from crystal_polytope.zcrystal import SequenceSpec, ZElement
 from reference import all_reduced_words_longest
 
 A2 = cartan_builtin("A", 2)
@@ -127,3 +128,23 @@ def test_string_points_count_matches_slice():
     for cartan, word in ((A2, W_A2), (C2, W_C2), (C2, W_C2.reversed())):
         assert len(string_points(cartan, btilde_cut(cartan, word, RHO2))) == \
             len(enumerate_demazure(cartan, word, RHO2))
+
+
+def test_string_points_reject_a_non_member_on_a_longest_word():
+    # (0, 0, 1) is not in the image for 1,2,1: the exhaustive peel leaves a residue
+    cut = DemazureSet(W_A2, RHO2, frozenset({(0, 0, 0), (0, 0, 1)}))
+    with pytest.raises(ValueError, match="residue"):
+        string_points(A2, cut)
+
+
+@pytest.mark.parametrize("cartan,letters", [
+    (A2, (1, 2, 1)), (C2, (1, 2, 1, 2)), (cartan_builtin("G", 2), (1, 2, 1, 2, 1, 2)),
+    (cartan_builtin("A", 3), (1, 2, 1, 3, 2, 1))])
+def test_cut_points_of_every_proper_prefix_are_members(cartan, letters):
+    # string_points peels prefix cuts without a membership check; this is why
+    lam = rho(cartan.rank)
+    for r in range(1, len(letters)):
+        word = ReducedWord(letters[:r])
+        spec = SequenceSpec(cartan, word)
+        cut = btilde_cut(cartan, word, lam)
+        assert all(membership(spec, ZElement.from_coords(c)) for c in cut.coords), r

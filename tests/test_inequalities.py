@@ -2,11 +2,13 @@
 
 import pytest
 
+import reference
+from crystal_polytope import inequalities
 from crystal_polytope.demazure import enumerate_demazure
 from crystal_polytope.inequalities import (CLOSURE_ROUNDS, AffineForm, _close, ample_check,
                                            delta_forms, delta_hrep, generate_xi,
-                                           lambda_form, minus_form, plus_form, seed_forms,
-                                           shat, var_form)
+                                           lambda_form, minus_form, seed_forms, shat,
+                                           var_form)
 from crystal_polytope.polytope import lattice_points
 from crystal_polytope.rootdata import ReducedWord, WeightVec, cartan_builtin, rho
 from crystal_polytope.zcrystal import SequenceSpec
@@ -42,7 +44,7 @@ def test_variable_and_weight_seed_forms():
 
 
 def test_plus_and_minus_forms_walk_neighbours():
-    pf = plus_form(SPEC_A2, 1)
+    pf = minus_form(SPEC_A2, SPEC_A2.next_same_letter(1))
     # a_1 + <alpha_2, h_1> a_2 + a_3 for the base word (1, 2, 1)
     assert (pf.coefficient(1), pf.coefficient(2), pf.coefficient(3)) == (1, -1, 1)
     mf = minus_form(SPEC_A2, 3)
@@ -108,14 +110,46 @@ def naive_close(spec, window):
     return forms, False
 
 
-@pytest.mark.parametrize("family,rank,letters", [
+CHARTS = [
     ("A", 2, (1, 2, 1)), ("C", 2, (1, 2, 1, 2)), ("G", 2, (1, 2, 1, 2, 1, 2)),
     ("A", 3, (1, 2, 1, 3, 2, 1)), ("B", 3, (1, 2, 1, 3, 2, 1, 3, 2, 3)),
-    ("C", 3, (1, 2, 1, 3, 2, 1, 3, 2, 3))])
+    ("C", 3, (1, 2, 1, 3, 2, 1, 3, 2, 3))]
+
+
+@pytest.mark.parametrize("family,rank,letters", CHARTS)
 def test_closure_descends_only_fresh_forms_to_the_same_result(family, rank, letters):
     spec = SequenceSpec(cartan_builtin(family, rank), ReducedWord(letters))
     for window in (len(letters), len(letters) + rank):
         assert _close(spec, window) == naive_close(spec, window)
+
+
+@pytest.mark.parametrize("family,rank,letters", CHARTS)
+def test_single_template_matches_the_two_template_descent(family, rank, letters):
+    cartan = cartan_builtin(family, rank)
+    spec = SequenceSpec(cartan, ReducedWord(letters))
+    for i in cartan.index_set():
+        assert lambda_form(spec, i) == reference.lambda_form(spec, i)
+    for window in (len(letters), len(letters) + rank):
+        for k in range(1, window + 1):
+            assert minus_form(spec, spec.next_same_letter(k)) == reference.plus_form(spec, k)
+            assert minus_form(spec, k) == reference.minus_form(spec, k)
+        for psi in generate_xi(spec, window).forms:
+            for k in range(1, window + 1):
+                assert shat(spec, psi, k) == reference.descent(spec, psi, k), (psi, k)
+
+
+@pytest.mark.parametrize("family,rank,letters", CHARTS)
+def test_closure_matches_one_built_on_the_reference_templates(monkeypatch, family, rank,
+                                                              letters):
+    spec = SequenceSpec(cartan_builtin(family, rank), ReducedWord(letters))
+    for window in (len(letters), len(letters) + rank):
+        xi = generate_xi(spec, window)
+        with monkeypatch.context() as m:
+            m.setattr(inequalities, "shat", reference.descent)
+            m.setattr(inequalities, "lambda_form", reference.lambda_form)
+            ref = generate_xi(spec, window)
+        assert (xi.forms, xi.stabilized, xi.certified) == \
+            (ref.forms, ref.stabilized, ref.certified)
 
 
 def test_window_below_word_length_rejected():
