@@ -15,7 +15,7 @@ import functools
 import json
 import sys
 
-from .binfinity import eta, eta_opposite, membership, star
+from .binfinity import _star_of_member, eta, eta_opposite, membership
 from .demazure import btilde_cut, enumerate_demazure, string_points
 from .inequalities import ample_check, ample_forms, delta_forms, delta_hrep, generate_xi
 from .polytope import lattice_points, normalize, system_from_forms
@@ -86,7 +86,7 @@ def _points_payload(args, meta, pts) -> None:
 
 def _form_json(f, r: int) -> dict:
     return {
-        "const_abs": f.const,
+        "const_abs": 0,  # no form the program builds has an absolute constant
         "const_lambda": list(f.lam_coeffs),
         "coeffs": [f.coefficient(p) for p in range(1, r + 1)],
     }
@@ -225,7 +225,7 @@ def _dispatch(args) -> int:
     if args.command in ("eta", "star"):
         x = _require_member(spec, args.point)
         if args.command == "star":
-            out = star(spec, x).coords(num_positive_roots(cartan))
+            out = _star_of_member(spec, x).coords(num_positive_roots(cartan))
         elif args.opposite:
             out = eta_opposite(spec, x)
         else:

@@ -84,22 +84,22 @@ def btilde_cut(cartan: CartanMatrix, word: ReducedWord, lam: WeightVec) -> Demaz
 
     Sweeps the plain sequence-crystal lowering operators stage by stage,
     starting from zero; a ray is cut at the first element whose star
-    partner has eps over the cap at some letter.  Monotonicity of starred
-    eps under lowering makes the first violation final along a ray, and
-    since a single-letter sweep leaves the starred eps of other letters
-    unchanged, no admissible element is missed.  A ray also stops at an
-    element the stage already holds: the rest of the ray depends on that
-    element alone, and is walked from it, either as a start of the stage
-    or by the ray that added it.
+    partner has eps over the cap at the ray's letter.  Lowering at i
+    leaves the starred eps of every other letter unchanged
+    (Kashiwara-Saito, Duke Math. J. 89, 1997, 3.2) and every start of a
+    stage is admissible, so only the ray's own letter is compared.
+    Monotonicity of starred eps under lowering makes the first violation
+    final along a ray, so no admissible element is missed.  A ray also
+    stops at an element the stage already holds: the rest of the ray
+    depends on that element alone, and is walked from it, either as a
+    start of the stage or by the ray that added it.
     """
     _validate(cartan, word, lam)
     spec = SequenceSpec(cartan, word)
     r = len(word.letters)
-    index_set = cartan.index_set()
 
-    def admissible(x: ZElement) -> bool:
-        partner = _star_of_member(spec, x)
-        return all(eps(spec, partner, i) <= lam[i] for i in index_set)
+    def admissible(y: ZElement, i: int) -> bool:
+        return eps(spec, _star_of_member(spec, y), i) <= lam[i]
 
     current = {ZElement.zero()}
     for k in range(1, r + 1):
@@ -109,7 +109,7 @@ def btilde_cut(cartan: CartanMatrix, word: ReducedWord, lam: WeightVec) -> Demaz
             y = x
             while True:
                 y = ftilde(spec, y, i)
-                if y in swept or not admissible(y):
+                if y in swept or not admissible(y, i):
                     break
                 swept.add(y)
         current = swept

@@ -1,8 +1,10 @@
 """Affine inequality forms and the descent closure that carves the twisted polytope.
 
-Forms are affine functions of the coordinates a_1, a_2, ... with an
-affine-in-weight constant: integer coordinate coefficients, integer
-coefficients on the weight entries, and an integer absolute constant.
+Forms are affine functions of the coordinates a_1, a_2, ... with a
+linear-in-weight constant: integer coordinate coefficients and integer
+coefficients on the weight entries.  No form carries an absolute
+constant: the seeds and templates have none, and a difference of two
+forms without one has none.
 The descent operator at a position rewrites a form against one
 template, the form that joins two consecutive occurrences of the
 position's letter: the pair starting at the position when the
@@ -31,18 +33,17 @@ CLOSURE_ROUNDS = 50  # cap on the descent rounds of one closure
 
 @dataclass(frozen=True, order=True)
 class AffineForm:
-    """coeffs . a + lam_coeffs . weight + const, all integer; ordered field by field."""
+    """coeffs . a + lam_coeffs . weight, all integer; ordered field by field."""
 
     coeffs: tuple  # sorted tuple of (position, int), zero entries dropped
     lam_coeffs: tuple  # per weight entry, length = rank
-    const: int
 
     @staticmethod
-    def make(coeffs: dict, lam_coeffs, const: int = 0) -> "AffineForm":
+    def make(coeffs: dict, lam_coeffs) -> "AffineForm":
         items = tuple(sorted((p, int(c)) for p, c in coeffs.items() if c != 0))
         if any(p < 1 for p, _ in items):
             raise ValueError("positions are 1-based")
-        return AffineForm(items, tuple(int(c) for c in lam_coeffs), int(const))
+        return AffineForm(items, tuple(int(c) for c in lam_coeffs))
 
     def coefficient(self, pos: int) -> int:
         for p, c in self.coeffs:
@@ -55,18 +56,17 @@ class AffineForm:
         for p, c in other.coeffs:
             d[p] = d.get(p, 0) - mult * c
         lam = tuple(a - mult * b for a, b in zip(self.lam_coeffs, other.lam_coeffs))
-        return AffineForm.make(d, lam, self.const - mult * other.const)
+        return AffineForm.make(d, lam)
 
     def restrict(self, r: int) -> "AffineForm":
         """Set every coordinate beyond position r to zero."""
-        return AffineForm(tuple((p, c) for p, c in self.coeffs if p <= r),
-                          self.lam_coeffs, self.const)
+        return AffineForm(tuple((p, c) for p, c in self.coeffs if p <= r), self.lam_coeffs)
 
     def is_zero(self) -> bool:
-        return not self.coeffs and not any(self.lam_coeffs) and self.const == 0
+        return not self.coeffs and not any(self.lam_coeffs)
 
     def constant_at(self, lam: WeightVec) -> int:
-        return self.const + sum(c * v for c, v in zip(self.lam_coeffs, lam.coords))
+        return sum(c * v for c, v in zip(self.lam_coeffs, lam.coords))
 
     def eval(self, coords, lam: WeightVec) -> int:
         acc = self.constant_at(lam)

@@ -1,18 +1,17 @@
 """Integer half-space systems, exact lattice enumeration, and redundancy removal.
 
 Everything here is exact: rows are integer vectors, bounding boxes are
-computed by interval propagation with rational division rounded the
-safe way, and redundancy removal is Fourier-Motzkin elimination in
-integers (safe for lattice point sets since it only drops rows implied
-over the rationals).
+computed by interval propagation with integer floor division rounding
+the safe way, and redundancy removal is Fourier-Motzkin elimination in
+integers on the strict negation of a row (safe for lattice point sets
+since it only drops rows implied over the rationals).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import ceil, floor, gcd
+from math import gcd
 
 from .rootdata import WeightVec
 
@@ -90,14 +89,14 @@ def bounding_box(system: HalfSpaceSystem) -> LatticeBox:
                     rest += u
                 if unbounded:
                     continue
-                bound = Fraction(-const - rest, cj)
+                # cj * x_j >= -(const + rest), rounded inward
                 if cj > 0:
-                    b = ceil(bound)
+                    b = -((const + rest) // cj)
                     if lo[j] is None or b > lo[j]:
                         lo[j] = b
                         changed = True
                 else:
-                    b = floor(bound)
+                    b = (const + rest) // -cj
                     if hi[j] is None or b < hi[j]:
                         hi[j] = b
                         changed = True
@@ -136,9 +135,9 @@ def _row_reduce(coeffs: tuple, const: int):
 def normalize(system: HalfSpaceSystem) -> HalfSpaceSystem:
     """Scale rows to primitive form, dedup, and drop implied rows.
 
-    Redundancy is decided exactly: a row is dropped when its minimum
-    over the remaining rows' polyhedron is nonnegative (Fourier-Motzkin
-    in integers), so the integer point set never changes.
+    Redundancy is decided exactly: a row is dropped when the remaining
+    rows imply it over the rationals (Fourier-Motzkin in integers on its
+    strict negation), so the integer point set never changes.
     """
     seen = []
     for coeffs, const in system.rows:
@@ -158,46 +157,28 @@ def normalize(system: HalfSpaceSystem) -> HalfSpaceSystem:
 def _implied_by(rows, row, dim: int) -> bool:
     """True when every rational solution of rows satisfies row.
 
-    Encodes t = row(x), projects x away by Fourier-Motzkin, and checks
-    that the projected t-interval sits in t >= 0 (an empty projection
-    counts as implied).  Integer rows combined with integer multipliers
-    stay integer; after each eliminated variable the rows are reduced
-    to primitive form and deduplicated, which leaves the projection as
-    it is.
+    Decided on the strict negation: rows together with -row(x) > 0 have
+    no rational solution exactly when row is implied (infeasible rows
+    imply every row).  Fourier-Motzkin eliminates every variable; a
+    combined row is strict when either parent is.  Integer rows combined
+    with integer multipliers stay integer; after each eliminated variable
+    the rows are reduced to primitive form and deduplicated, strict flag
+    included, which leaves the solution set as it is.  The system is
+    infeasible when some final row reads const < 0, or const == 0 and
+    strict.
     """
-    # working rows over variables x_1..x_dim, t: (integer vec of dim+1, const)
-    work = [(tuple(coeffs) + (0,), const) for coeffs, const in rows]
-    rc, rconst = row
-    plus = tuple(rc) + (-1,)
-    work.append((plus, rconst))                          # row(x) - t >= 0
-    work.append((tuple(-c for c in plus), -rconst))      # t - row(x) >= 0
-
+    coeffs, const = row
+    work = [(tuple(c), k, False) for c, k in rows]
+    work.append((tuple(-c for c in coeffs), -const, True))
     for v in range(dim):
         pos = [r for r in work if r[0][v] > 0]
         neg = [r for r in work if r[0][v] < 0]
-        zero = [r for r in work if r[0][v] == 0]
-        combined = []
-        for pv, pc in pos:
-            for nv, nc in neg:
+        combined = [r for r in work if r[0][v] == 0]
+        for pv, pc, ps in pos:
+            for nv, nc, ns in neg:
                 scale_p = -nv[v]
                 scale_n = pv[v]
                 vec = tuple(scale_p * a + scale_n * b for a, b in zip(pv, nv))
-                combined.append((vec, scale_p * pc + scale_n * nc))
-        work = list(dict.fromkeys(_row_reduce(vec, const) for vec, const in zero + combined))
-
-    t_lower, t_upper = [], []
-    for vec, const in work:
-        ct = vec[dim]
-        if ct == 0:
-            if const < 0:
-                return True  # the other rows are already infeasible
-            continue
-        if ct > 0:
-            t_lower.append(Fraction(-const, ct))
-        else:
-            t_upper.append(Fraction(-const, ct))
-    if t_lower and t_upper and max(t_lower) > min(t_upper):
-        return True  # projection empty, so the other rows are infeasible
-    if not t_lower:
-        return False
-    return max(t_lower) >= 0
+                combined.append((vec, scale_p * pc + scale_n * nc, ps or ns))
+        work = list(dict.fromkeys((*_row_reduce(vec, k), strict) for vec, k, strict in combined))
+    return any(k < 0 or (k == 0 and strict) for _, k, strict in work)

@@ -163,7 +163,8 @@ def cartan_builtin(family: str, rank: int) -> CartanMatrix:
 
     Type C has its long root last: ``pairing(n-1, n) == -2``.  Type B is
     the transpose of that corner.  For rank 2 this makes ``("C", 2)``
-    equal ``[[2, -2], [-1, 2]]``.
+    equal ``[[2, -2], [-1, 2]]``.  Type F has its long roots first:
+    ``pairing(3, 2) == -2``.
     """
     family = family.upper()
     if family not in FAMILIES:
@@ -219,7 +220,7 @@ def cartan_builtin(family: str, rank: int) -> CartanMatrix:
         if n != 4:
             raise ValueError("type F needs rank 4")
         m = chain()
-        m[1][2] = -2
+        m[2][1] = -2
     else:  # G
         if n != 2:
             raise ValueError("type G needs rank 2")
@@ -305,28 +306,18 @@ def num_positive_roots(cartan: CartanMatrix) -> int:
 def weyl_dim_oracle(cartan: CartanMatrix, lam: WeightVec) -> int:
     """Dimension of the irreducible module of highest weight lam.
 
-    Independent product-formula oracle: the product over positive roots
-    of the coroot pairing of lam+rho divided by the one of rho, computed
-    with exact rationals via a symmetrizer of the Cartan matrix.
+    Independent product-formula oracle: the product over positive coroots
+    of the pairing with lam+rho divided by the one with rho.  The positive
+    coroots, in simple-coroot coordinates c, are the positive roots of the
+    transposed Cartan matrix, and a coroot pairs with lam+rho to
+    sum c_i (lam_i + 1) and with rho to sum c_i.
     """
     if not lam.is_dominant():
         raise ValueError("highest weight must be dominant")
-    d = cartan.symmetrizer()
-    assert d is not None
-    n = cartan.rank
-
-    def form_with_root(coords: tuple[int, ...], root: RootCombo) -> int:
-        # inner product of a weight (fundamental coords) with a root,
-        # normalized so that (weight, alpha_i) = d_i * coords_i
-        return sum(coords[i] * d[i] * root.coeffs[i] for i in range(n))
-
-    lam_rho = tuple(c + 1 for c in lam.coords)
-    rho_c = (1,) * n
-    dim = Fraction(1)
-    for root in positive_roots(cartan):
-        # each coroot pairing is 2 (weight, root) / (root, root); the factor cancels
-        dim *= Fraction(form_with_root(lam_rho, root), form_with_root(rho_c, root))
-    if dim.denominator != 1:
+    num = den = 1
+    for coroot in positive_roots(CartanMatrix(tuple(zip(*cartan.rows)))):
+        num *= sum(c * (l + 1) for c, l in zip(coroot.coeffs, lam.coords))
+        den *= sum(coroot.coeffs)
+    if num % den:
         raise ArithmeticError("dimension formula did not produce an integer")
-    return int(dim)
-
+    return num // den

@@ -3,16 +3,21 @@
 Each one is written independently of the library routine it checks:
 the derivative orders against ``valuation.value``, the full exponential
 series product against ``valuation.unipotent_product``, weight
-reflections for the brute-force reduced-word oracle, and the two-template
+reflections for the brute-force reduced-word oracle, the two-template
 descent (a form toward the next and one toward the previous occurrence
-of a letter) against ``inequalities.shat`` and its single template.
+of a letter) against ``inequalities.shat`` and its single template,
+implication by projecting onto the value of the row against
+``polytope._implied_by`` and its strict negation, and the dimension
+formula through a symmetrizer against ``rootdata.weyl_dim_oracle`` and
+its coroots.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from crystal_polytope.inequalities import AffineForm
-from crystal_polytope.rootdata import CartanMatrix, WeightVec, is_reduced, num_positive_roots
+from crystal_polytope.rootdata import (CartanMatrix, WeightVec, is_reduced, num_positive_roots,
+                                       positive_roots)
 from crystal_polytope.valuation import MultiPoly, PolyMatrix
 from crystal_polytope.zcrystal import SequenceSpec
 
@@ -155,3 +160,60 @@ def descent(spec: SequenceSpec, psi: AffineForm, k: int) -> AffineForm:
         return psi
     template = plus_form(spec, k) if ck > 0 else minus_form(spec, k)
     return psi.minus(template, ck)
+
+
+def implied_by_projection(rows, row, dim: int) -> bool:
+    """True when every rational solution of rows satisfies row.
+
+    Encodes t = row(x), projects x away by Fourier-Motzkin, and checks
+    that the projected t-interval sits in t >= 0 (an empty projection
+    counts as implied).
+    """
+    def primitive(vec, const):
+        g = gcd(*vec, const)
+        return (tuple(c // g for c in vec), const // g) if g > 1 else (vec, const)
+
+    work = [(tuple(coeffs) + (0,), const) for coeffs, const in rows]
+    rc, rconst = row
+    plus = tuple(rc) + (-1,)
+    work.append((plus, rconst))                          # row(x) - t >= 0
+    work.append((tuple(-c for c in plus), -rconst))      # t - row(x) >= 0
+    for v in range(dim):
+        pos = [r for r in work if r[0][v] > 0]
+        neg = [r for r in work if r[0][v] < 0]
+        combined = [r for r in work if r[0][v] == 0]
+        for pv, pc in pos:
+            for nv, nc in neg:
+                a, b = -nv[v], pv[v]
+                combined.append((tuple(a * x + b * y for x, y in zip(pv, nv)), a * pc + b * nc))
+        work = list(dict.fromkeys(primitive(vec, const) for vec, const in combined))
+
+    t_lower, t_upper = [], []
+    for vec, const in work:
+        ct = vec[dim]
+        if ct == 0:
+            if const < 0:
+                return True  # the other rows are already infeasible
+        elif ct > 0:
+            t_lower.append(Fraction(-const, ct))
+        else:
+            t_upper.append(Fraction(-const, ct))
+    if t_lower and t_upper and max(t_lower) > min(t_upper):
+        return True  # projection empty, so the other rows are infeasible
+    return bool(t_lower) and max(t_lower) >= 0
+
+
+def weyl_dim_symmetrized(cartan: CartanMatrix, lam: WeightVec) -> int:
+    """Weyl's product over positive roots of (lam + rho, root) / (rho, root).
+
+    The invariant form is built from a symmetrizer d of the Cartan matrix:
+    (weight, alpha_i) = d_i times the weight's i-th coordinate.
+    """
+    d = cartan.symmetrizer()
+    dim = Fraction(1)
+    for root in positive_roots(cartan):
+        num = sum((l + 1) * di * c for l, di, c in zip(lam.coords, d, root.coeffs))
+        den = sum(di * c for di, c in zip(d, root.coeffs))
+        dim *= Fraction(num, den)
+    assert dim.denominator == 1
+    return int(dim)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from crystal_polytope import cli
+from crystal_polytope import binfinity, cli
 from crystal_polytope.inequalities import AffineForm
 
 
@@ -207,6 +207,26 @@ def test_star_and_opposite_chart(capsys):
                                 "--word", "1,2,1,2", "--point", "0,1,2,1",
                                 "--opposite", "--format", "csv"])
     assert code == 0 and out.strip() == "1,2,1,0"
+
+
+def test_star_checks_membership_once(capsys, monkeypatch):
+    original, calls = binfinity.membership, []
+
+    def counting(spec, x):
+        calls.append(x)
+        return original(spec, x)
+
+    monkeypatch.setattr(cli, "membership", counting)
+    monkeypatch.setattr(binfinity, "membership", counting)
+    code, out, _ = run(capsys, ["star", "--type", "C", "--rank", "2",
+                                "--word", "1,2,1,2", "--point", "0,1,2,1",
+                                "--format", "csv"])
+    assert code == 0 and out.strip() == "0,1,2,1"
+    assert len(calls) == 1, calls
+    code, out, err = run(capsys, ["star", "--type", "C", "--rank", "2",
+                                  "--word", "1,2,1,2", "--point", "0,0,1,0"])
+    assert code == 1 and out == ""
+    assert "error: point [0, 0, 1, 0] is not in the crystal image for this word" in err
 
 
 def test_matrix_subcommand(capsys):
@@ -460,11 +480,11 @@ def test_delta_hrep_builds_the_forms_once(capsys, monkeypatch):
 
 
 def _with_extra_row(forms):
-    return forms + [AffineForm.make({1: -1}, (0, 0), 0)]  # -a_1 >= 0
+    return forms + [AffineForm.make({1: -1}, (0, 0))]  # -a_1 >= 0
 
 
 def _unbounded(forms):
-    return [AffineForm.make({1: -1}, (0, 0, 0), 0)]  # leaves a_2, a_3, a_4 free
+    return [AffineForm.make({1: -1}, (0, 0, 0))]  # leaves a_2, a_3, a_4 free
 
 
 @pytest.mark.parametrize("family,rank,word,lam,forms,detail", [

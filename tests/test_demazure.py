@@ -1,14 +1,16 @@
 """Finite crystal slices: sweep enumeration, the cut route, string data."""
 
+import random
+
 import pytest
 
 from crystal_polytope import demazure
-from crystal_polytope.binfinity import membership
+from crystal_polytope.binfinity import membership, star
 from crystal_polytope.demazure import (DemazureSet, btilde_cut, enumerate_demazure,
                                        string_points)
 from crystal_polytope.rootdata import (ReducedWord, WeightVec, cartan_builtin,
                                        fundamental, rho, weyl_dim_oracle)
-from crystal_polytope.zcrystal import SequenceSpec, ZElement
+from crystal_polytope.zcrystal import SequenceSpec, ZElement, eps, ftilde
 from reference import all_reduced_words_longest
 
 A2 = cartan_builtin("A", 2)
@@ -44,14 +46,47 @@ def test_partial_word_slices_grow_along_the_word():
     assert {c + (0,) for c in prefix} <= full
 
 
-def test_cut_route_agrees_with_sweep_route():
-    for cartan, letters in ((A2, (1, 2, 1)), (A2, (2, 1, 2)), (A2, (1, 2)),
-                            (C2, (1, 2, 1, 2)), (C2, (2, 1, 2, 1)), (C2, (2, 1))):
-        word = ReducedWord(letters)
-        for lam in (fundamental(2, 1), fundamental(2, 2), RHO2, WeightVec((2, 1))):
+RANK2_WEIGHTS = ((1, 0), (0, 1), (1, 1), (2, 1))
+
+
+@pytest.mark.parametrize("family,rank,letters,weights", [
+    ("A", 2, (1, 2, 1), RANK2_WEIGHTS), ("A", 2, (2, 1, 2), RANK2_WEIGHTS),
+    ("C", 2, (1, 2, 1, 2), RANK2_WEIGHTS), ("C", 2, (2, 1, 2, 1), RANK2_WEIGHTS),
+    ("G", 2, (1, 2, 1, 2, 1, 2), ((1, 1),)), ("G", 2, (2, 1, 2, 1, 2, 1), ((2, 1),)),
+    ("A", 3, (1, 2, 1, 3, 2, 1), ((1, 1, 1),)), ("A", 3, (2, 1, 3, 2, 1, 3), ((1, 0, 1),)),
+    ("B", 3, (1, 2, 1, 3, 2, 1, 3, 2, 3), ((1, 1, 1),)),
+    ("C", 3, (1, 2, 1, 3, 2, 1, 3, 2, 3), ((1, 1, 1),)),
+])
+def test_cut_route_agrees_with_sweep_route(family, rank, letters, weights):
+    # the cut compares only the ray's own letter; a missed or extra element on
+    # any prefix would show here
+    cartan = cartan_builtin(family, rank)
+    for r in range(1, len(letters) + 1):
+        word = ReducedWord(letters[:r])
+        for lam in map(WeightVec, weights):
             left = enumerate_demazure(cartan, word, lam)
             right = btilde_cut(cartan, word, lam)
-            assert left.coords == right.coords, (letters, lam)
+            assert left.coords == right.coords, (letters[:r], lam)
+
+
+@pytest.mark.parametrize("family,rank,letters", [
+    ("A", 2, (1, 2, 1)), ("C", 2, (1, 2, 1, 2)), ("G", 2, (1, 2, 1, 2, 1, 2)),
+    ("A", 3, (1, 2, 1, 3, 2, 1)), ("B", 3, (1, 2, 1, 3, 2, 1, 3, 2, 3)),
+    ("C", 3, (1, 2, 1, 3, 2, 1, 3, 2, 3)),
+])
+def test_lowering_leaves_the_starred_eps_of_other_letters_alone(family, rank, letters):
+    # eps*_j(f_i b) == eps*_j(b) for i != j (Kashiwara-Saito, Duke Math. J. 89, 1997)
+    cartan = cartan_builtin(family, rank)
+    spec = SequenceSpec(cartan, ReducedWord(letters))
+    slice_ = enumerate_demazure(cartan, ReducedWord(letters), rho(rank)).sorted_coords()
+    for coords in random.Random(sum(letters) * rank).sample(slice_, min(40, len(slice_))):
+        x = ZElement.from_coords(coords)
+        partner = star(spec, x)
+        for i in cartan.index_set():
+            lowered = star(spec, ftilde(spec, x, i))
+            for j in cartan.index_set():
+                if j != i:
+                    assert eps(spec, lowered, j) == eps(spec, partner, j), (coords, i, j)
 
 
 def test_cut_route_decides_each_member_once(monkeypatch):

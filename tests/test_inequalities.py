@@ -20,15 +20,15 @@ SPEC_C2 = SequenceSpec(C2, ReducedWord((1, 2, 1, 2)))
 RHO2 = rho(2)
 
 
-def form(coeffs, lam=(0, 0), const=0):
-    return AffineForm.make(coeffs, tuple(lam), const)
+def form(coeffs, lam=(0, 0)):
+    return AffineForm.make(coeffs, tuple(lam))
 
 
 def test_affine_form_algebra():
-    f = form({1: 2, 3: -1}, (1, 0), 5)
+    f = form({1: 2, 3: -1}, (1, 0))
     assert f.coefficient(1) == 2 and f.coefficient(2) == 0 and f.coefficient(3) == -1
-    assert f.eval((1, 1, 1), WeightVec((2, 0))) == 5 + 2 + 2 - 1
-    assert f.constant_at(WeightVec((3, 1))) == 8
+    assert f.eval((1, 1, 1), WeightVec((2, 0))) == 2 + 2 - 1
+    assert f.constant_at(WeightVec((3, 1))) == 3
     g = f.minus(form({1: 1}), 2)
     assert g.coefficient(1) == 0
     assert f.restrict(1).coefficient(3) == 0
@@ -176,7 +176,7 @@ def test_ample_check_requires_certified_closure():
 
 def test_delta_hrep_rejects_non_ample_data():
     xi = generate_xi(SPEC_A2, 3)
-    poisoned = frozenset(set(xi.forms) | {form({1: 1}, (0, 0), -1)})
+    poisoned = frozenset(set(xi.forms) | {form({1: 1}, (-1, 0))})  # constant -1 at rho
     broken = type(xi)(spec=xi.spec, window=xi.window, forms=poisoned,
                       stabilized=True, certified=True)
     with pytest.raises(ValueError, match="enumeration"):

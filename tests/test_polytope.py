@@ -1,12 +1,17 @@
 """Half-space systems: boxes, lattice points, normalization, implication."""
 
+import random
+
 import pytest
 
+from crystal_polytope import polytope
+from crystal_polytope.demazure import enumerate_demazure
 from crystal_polytope.inequalities import delta_forms, delta_hrep, generate_xi
 from crystal_polytope.polytope import (HalfSpaceSystem, bounding_box, lattice_points,
                                        normalize, system_from_forms, _implied_by)
 from crystal_polytope.rootdata import ReducedWord, WeightVec, cartan_builtin, rho
 from crystal_polytope.zcrystal import SequenceSpec
+from reference import implied_by_projection
 
 A2 = cartan_builtin("A", 2)
 SPEC_A2 = SequenceSpec(A2, ReducedWord((1, 2, 1)))
@@ -117,9 +122,83 @@ def test_implied_by_basic_cases():
     assert not _implied_by(rows, ((-1,), 0), 1)  # -x >= 0 fails at x = 1
     infeasible = [((1,), 0), ((-1,), -1)]  # x >= 0 and x <= -1
     assert _implied_by(infeasible, ((-1,), -100), 1)
+    # equality is allowed: the strict negation of a row tight at x = 0 or 1 is infeasible
+    pinned = [((1,), 0), ((-1,), 0)]  # x = 0
+    assert _implied_by(pinned, ((-1,), 0), 1)
+    assert not _implied_by(pinned, ((1,), -1), 1)
+    assert _implied_by([((-1,), 1)], ((-1,), 1), 1)
+    assert not _implied_by([((-1,), 1), ((1,), 0)], ((-1,), 0), 1)
+    assert _implied_by([], ((0,), 0), 1)
+    assert not _implied_by([], ((0,), -1), 1)
 
 
 def test_implied_by_combines_rows():
     rows = [((1, 0), 0), ((0, 1), 0)]  # x >= 0, y >= 0
     assert _implied_by(rows, ((1, 1), 0), 2)      # x + y >= 0
     assert not _implied_by(rows, ((1, -1), 0), 2)  # x - y can be negative
+
+
+def test_implied_by_matches_the_projection_on_random_systems():
+    rng = random.Random(20261018)
+    implied = 0
+    for _ in range(3000):
+        dim = rng.randint(1, 4)
+
+        def random_row():
+            return tuple(rng.randint(-3, 3) for _ in range(dim)), rng.randint(-4, 4)
+
+        rows = [random_row() for _ in range(rng.randint(0, 6))]
+        row = random_row()
+        want = implied_by_projection(rows, row, dim)
+        assert _implied_by(rows, row, dim) == want, (rows, row, dim)
+        implied += want
+    assert 0 < implied < 3000
+
+
+# the rank-2 delta-hrep systems of the benchmark's polytope-dilate workload
+DILATED = [("A", (1, 2, 1), k) for k in (1, 4, 16, 32)] + \
+    [("C", (1, 2, 1, 2), k) for k in (1, 2, 4, 8, 10)] + \
+    [("G", (1, 2, 1, 2, 1, 2), k) for k in (1, 2)]
+
+
+@pytest.mark.parametrize("family,word,scale", DILATED)
+def test_implied_by_matches_the_projection_inside_normalize(monkeypatch, family, word, scale):
+    xi = generate_xi(SequenceSpec(cartan_builtin(family, 2), ReducedWord(word)), len(word))
+    system = delta_hrep(xi, rho(2).scale(scale))
+    calls = []
+
+    def checked(rows, row, dim):
+        got = _implied_by(rows, row, dim)
+        assert got == implied_by_projection(rows, row, dim), (rows, row)
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(polytope, "_implied_by", checked)
+    normalize(system)
+    assert any(calls) and not all(calls)
+
+
+C3_WORD = (1, 2, 1, 3, 2, 1, 3, 2, 3)
+# normalize(delta_hrep(...)) rows on C3 at rho, default window, as the CLI prints them
+C3_RHO_ROWS = (
+    ((-1, 0, 0, 0, 0, 0, 0, 0, 0), 1), ((0, 0, -1, 0, 0, 0, 0, 0, 0), 1),
+    ((0, 0, 0, 0, 0, 0, 0, 0, -1), 1), ((0, 0, 0, 0, 0, 0, 0, 0, 1), 0),
+    ((0, 0, 0, 0, 0, 0, 0, 1, -2), 0), ((0, 0, 0, 0, 0, 0, 1, -1, 0), 1),
+    ((0, 0, 0, 0, 0, 0, 2, -1, 0), 0), ((0, 0, 0, 0, 0, 1, 0, -1, 0), 0),
+    ((0, 0, 0, 0, 1, -1, -1, 0, 0), 1), ((0, 0, 0, 0, 1, -1, 0, 0, 0), 0),
+    ((0, 0, 0, 0, 1, 0, -2, 0, 0), 0), ((0, 0, 0, 1, 0, -1, 0, 0, 0), 1),
+    ((0, 0, 0, 2, -1, 0, 0, 0, 0), 0), ((0, 0, 1, 0, 0, 0, -1, 0, 0), 1),
+    ((0, 0, 1, 0, 0, 0, 0, 0, 0), 0), ((0, 0, 1, 1, -1, 0, 0, 0, 0), 1),
+    ((0, 1, -1, 0, 0, 0, 0, 0, 0), 0), ((0, 1, 0, -1, 0, 0, 0, 0, 0), 1),
+    ((1, -1, 0, 0, 0, 0, 0, 0, 0), 1), ((1, 0, 0, 0, 0, 0, 0, 0, 0), 0),
+)
+
+
+def test_normalized_delta_hrep_rows_at_rank_three():
+    cartan = cartan_builtin("C", 3)
+    xi = generate_xi(SequenceSpec(cartan, ReducedWord(C3_WORD)), len(C3_WORD))
+    system = normalize(delta_hrep(xi, rho(3)))
+    assert system.rows == C3_RHO_ROWS
+    slice_ = enumerate_demazure(cartan, ReducedWord(C3_WORD), rho(3))
+    assert len(slice_) == 512
+    assert lattice_points(system) == slice_.sorted_coords()

@@ -8,7 +8,7 @@ from crystal_polytope.rootdata import (CartanMatrix, ReducedWord, WeightVec,
                                        cartan_builtin, fundamental, is_reduced,
                                        num_positive_roots, positive_roots, rho,
                                        weyl_dim_oracle)
-from reference import all_reduced_words_longest, reflect
+from reference import all_reduced_words_longest, reflect, weyl_dim_symmetrized
 
 A2 = cartan_builtin("A", 2)
 C2 = cartan_builtin("C", 2)
@@ -110,6 +110,26 @@ def test_weyl_dim_oracle_golden():
     assert weyl_dim_oracle(cartan_builtin("G", 2), fundamental(2, 1)) == 7
     assert weyl_dim_oracle(cartan_builtin("G", 2), fundamental(2, 2)) == 14
     assert weyl_dim_oracle(A2, WeightVec((0, 0))) == 1
+
+
+@pytest.mark.parametrize("family,rank,i,dim", [
+    ("F", 4, 1, 52), ("F", 4, 2, 1274), ("F", 4, 3, 273), ("F", 4, 4, 26),
+    ("E", 6, 1, 27), ("E", 6, 2, 78), ("E", 7, 1, 133), ("E", 7, 7, 56),
+    ("E", 8, 8, 248), ("D", 5, 1, 10), ("D", 5, 5, 16), ("B", 4, 4, 16),
+])
+def test_fundamental_dimensions_in_bourbaki_numbering(family, rank, i, dim):
+    assert weyl_dim_oracle(cartan_builtin(family, rank), fundamental(rank, i)) == dim
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3),
+    ("C", 4), ("D", 4), ("G", 2), ("F", 4), ("E", 6),
+])
+def test_weyl_dim_oracle_matches_the_symmetrized_formula(family, rank):
+    cartan = cartan_builtin(family, rank)
+    for coords in itertools.product(range(3), repeat=rank):
+        lam = WeightVec(coords)
+        assert weyl_dim_oracle(cartan, lam) == weyl_dim_symmetrized(cartan, lam), coords
 
 
 def test_weight_vec_helpers():
