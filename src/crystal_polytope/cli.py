@@ -150,7 +150,9 @@ def _parser() -> _Parser:
                       need_lambda=True, closure=True)
     p.add_argument("--k-max", type=_nonneg_int, default=2)
     p.add_argument("--degree-cap", type=_nonneg_int, default=None,
-                   help="also check values of the product closure up to this degree")
+                   help="also check that products of sections of total degree at most "
+                        "this in the t variables (a cap on degree, not on the number "
+                        "of factors) have values in the crystal image; type A only")
     return parser
 
 
@@ -223,13 +225,18 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command in ("eta", "star"):
-        x = _require_member(spec, args.point)
         if args.command == "star":
+            x = _require_member(spec, args.point)
             out = _star_of_member(spec, x).coords(num_positive_roots(cartan))
-        elif args.opposite:
-            out = eta_opposite(spec, x)
         else:
-            out = eta(spec, x)
+            chart = eta_opposite if args.opposite else eta
+            try:
+                out = chart(spec, ZElement.from_coords(args.point))
+            except ValueError:
+                # the exhaustive peel fails exactly on non-members, and a
+                # non-member is named before a word that is not a longest word
+                _require_member(spec, args.point)
+                raise
         data = {"point": list(args.point), args.command: list(out)}
         _emit(args, meta, data, [out])
         return 0

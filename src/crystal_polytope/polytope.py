@@ -2,14 +2,16 @@
 
 Everything here is exact: rows are integer vectors, bounding boxes are
 computed by interval propagation with integer floor division rounding
-the safe way, and redundancy removal is Fourier-Motzkin elimination in
-integers on the strict negation of a row (safe for lattice point sets
-since it only drops rows implied over the rationals).
+the safe way, lattice points come from a depth-first walk over the box
+that bounds each coordinate from the rows' partial sums and the most
+the remaining coordinates can add (so no cell is tested on its own), and
+redundancy removal is Fourier-Motzkin elimination in integers on the
+strict negation of a row (safe for lattice point sets since it only
+drops rows implied over the rationals).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import gcd
 
@@ -35,18 +37,11 @@ class HalfSpaceSystem:
             canon.append((coeffs, int(const)))
         return HalfSpaceSystem(dim, tuple(canon))
 
-    def satisfied(self, point) -> bool:
-        return all(sum(c * x for c, x in zip(coeffs, point)) + const >= 0
-                   for coeffs, const in self.rows)
-
 
 @dataclass(frozen=True)
 class LatticeBox:
     lo: tuple
     hi: tuple
-
-    def points(self):
-        return itertools.product(*(range(l, h + 1) for l, h in zip(self.lo, self.hi)))
 
     def volume(self) -> int:
         out = 1
@@ -108,11 +103,59 @@ def bounding_box(system: HalfSpaceSystem) -> LatticeBox:
 
 
 def lattice_points(system: HalfSpaceSystem) -> list:
-    """All integer points of the system, sorted; brute filter over its bounding box."""
+    """All integer points of the system, sorted; a depth-first walk over its bounding box.
+
+    At depth d the coordinates before d are fixed and each row carries its
+    partial sum over them.  The most a row can still gain from coordinates
+    after d is the box maximum of its remaining terms, so a row with a
+    positive coefficient raises x_d's lower bound (ceiling division), a
+    row with a negative one lowers the upper bound (floor division), and a
+    row that misses x_d prunes the branch when even that maximum leaves it
+    negative.  At the last coordinate nothing remains, the bounds are
+    exact and every value between them is a point.  Values rise at every
+    depth, so the points come out sorted.
+    """
     box = bounding_box(system)
+    n, rows = system.dim, system.rows
+    if n == 0:
+        return [()] if all(const >= 0 for _, const in rows) else []
     if any(h < l for l, h in zip(box.lo, box.hi)):
         return []
-    return sorted(p for p in box.points() if system.satisfied(p))
+    # steps[d]: x_d's box interval, the rows' coefficients on x_d, and
+    # (row, coefficient, reach) for the rows whose coefficient is positive,
+    # negative or zero; reach is the most the coordinates after d can add
+    # to the row over the box
+    reach = [0] * len(rows)
+    steps = []
+    for d in reversed(range(n)):
+        lo, hi = box.lo[d], box.hi[d]
+        column = tuple(coeffs[d] for coeffs, _ in rows)
+        lifts, caps, misses = [], [], []
+        for r, c in enumerate(column):
+            (lifts if c > 0 else caps if c < 0 else misses).append((r, c, reach[r]))
+        steps.append((lo, hi, column, lifts, caps, misses))
+        reach = [t + max(c * lo, c * hi) for t, c in zip(reach, column)]
+    steps.reverse()
+    last = n - 1
+    out = []
+
+    def walk(d: int, prefix: tuple, partial: list) -> None:
+        lo, hi, column, lifts, caps, misses = steps[d]
+        for r, _, t in misses:
+            if partial[r] + t < 0:
+                return
+        for r, c, t in lifts:
+            lo = max(lo, -((partial[r] + t) // c))
+        for r, c, t in caps:
+            hi = min(hi, (partial[r] + t) // -c)
+        if d == last:
+            out.extend(prefix + (x,) for x in range(lo, hi + 1))
+            return
+        for x in range(lo, hi + 1):
+            walk(d + 1, prefix + (x,), [s + c * x for s, c in zip(partial, column)])
+
+    walk(0, (), [const for _, const in rows])
+    return out
 
 
 def system_from_forms(forms, r: int, lam: WeightVec) -> HalfSpaceSystem:

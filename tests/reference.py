@@ -7,15 +7,19 @@ reflections for the brute-force reduced-word oracle, the two-template
 descent (a form toward the next and one toward the previous occurrence
 of a letter) against ``inequalities.shat`` and its single template,
 implication by projecting onto the value of the row against
-``polytope._implied_by`` and its strict negation, and the dimension
+``polytope._implied_by`` and its strict negation, a filter of every
+cell of the bounding box against ``polytope.lattice_points`` and its
+depth-first walk, and the dimension
 formula through a symmetrizer against ``rootdata.weyl_dim_oracle`` and
 its coroots.
 """
 
+import itertools
 from fractions import Fraction
 from math import factorial, gcd
 
 from crystal_polytope.inequalities import AffineForm
+from crystal_polytope.polytope import HalfSpaceSystem, bounding_box
 from crystal_polytope.rootdata import (CartanMatrix, WeightVec, is_reduced, num_positive_roots,
                                        positive_roots)
 from crystal_polytope.valuation import MultiPoly, PolyMatrix
@@ -201,6 +205,16 @@ def implied_by_projection(rows, row, dim: int) -> bool:
     if t_lower and t_upper and max(t_lower) > min(t_upper):
         return True  # projection empty, so the other rows are infeasible
     return bool(t_lower) and max(t_lower) >= 0
+
+
+def brute_lattice_points(system: HalfSpaceSystem) -> list:
+    """All integer points of the system, sorted: every cell of its bounding box tested
+    against every row."""
+    box = bounding_box(system)
+    cells = itertools.product(*(range(l, h + 1) for l, h in zip(box.lo, box.hi)))
+    return sorted(p for p in cells
+                  if all(sum(c * x for c, x in zip(coeffs, p)) + const >= 0
+                         for coeffs, const in system.rows))
 
 
 def weyl_dim_symmetrized(cartan: CartanMatrix, lam: WeightVec) -> int:

@@ -1,5 +1,6 @@
 """Command-line interface: golden outputs, formats, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -189,6 +190,27 @@ def test_delta_points_equal_enumerate(capsys):
     assert sorted(out1.splitlines()) == sorted(out2.splitlines())
 
 
+
+# sha256 of the delta-points JSON stdout, captured from the box filter that
+# tested every cell; at k*rho on a longest word there are (k+1)^N points
+DELTA_POINTS_SHA256 = {
+    ("G", "2", "1,2,1,2,1,2", "3,3"):
+        ("8b6d3723a815794828f44a960fa63dab4c7f800b5ad4c4d59af22f62ce788336", 4 ** 6),
+    ("C", "3", "1,2,1,3,2,1,3,2,3", "2,2,2"):
+        ("c11defbbb0fd8bbaed3bbb355fee27c8722dafedb6c53d4d656bb3a35755a00c", 3 ** 9),
+}
+
+
+@pytest.mark.parametrize("family,rank,word,lam", sorted(DELTA_POINTS_SHA256))
+def test_delta_points_output_is_pinned(capsys, family, rank, word, lam):
+    code, out, _ = run(capsys, ["delta-points", "--type", family, "--rank", rank,
+                                "--word", word, "--lambda", lam])
+    digest, count = DELTA_POINTS_SHA256[family, rank, word, lam]
+    assert code == 0
+    assert json.loads(out)["data"]["count"] == count
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_string_points_subcommand(capsys):
     code, out, _ = run(capsys, ["string-points", "--type", "A", "--rank", "2",
                                 "--word", "1,2,1", "--lambda", "1,1",
@@ -209,7 +231,9 @@ def test_star_and_opposite_chart(capsys):
     assert code == 0 and out.strip() == "1,2,1,0"
 
 
-def test_star_checks_membership_once(capsys, monkeypatch):
+@pytest.fixture
+def membership_calls(monkeypatch):
+    """The elements membership is asked about, from the CLI and from binfinity."""
     original, calls = binfinity.membership, []
 
     def counting(spec, x):
@@ -218,16 +242,52 @@ def test_star_checks_membership_once(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "membership", counting)
     monkeypatch.setattr(binfinity, "membership", counting)
+    return calls
+
+
+def test_star_checks_membership_once(capsys, membership_calls):
     code, out, _ = run(capsys, ["star", "--type", "C", "--rank", "2",
                                 "--word", "1,2,1,2", "--point", "0,1,2,1",
                                 "--format", "csv"])
     assert code == 0 and out.strip() == "0,1,2,1"
-    assert len(calls) == 1, calls
+    assert len(membership_calls) == 1, membership_calls
     code, out, err = run(capsys, ["star", "--type", "C", "--rank", "2",
                                   "--word", "1,2,1,2", "--point", "0,0,1,0"])
     assert code == 1 and out == ""
     assert "error: point [0, 0, 1, 0] is not in the crystal image for this word" in err
 
+
+ETA_ARGV = ["eta", "--type", "C", "--rank", "2", "--word", "1,2,1,2"]
+
+
+@pytest.mark.parametrize("opposite", [[], ["--opposite"]])
+def test_eta_peel_is_the_only_membership_check(capsys, membership_calls, opposite):
+    code, out, _ = run(capsys, ETA_ARGV + ["--point", "0,1,2,1", "--format", "csv"] + opposite)
+    assert code == 0 and out.strip() == ("1,2,1,0" if opposite else "0,1,2,1")
+    assert membership_calls == []
+
+
+@pytest.mark.parametrize("opposite", [[], ["--opposite"]])
+@pytest.mark.parametrize("argv,error", [
+    # a non-member of a longest-word chart, with a negative entry, and past the word
+    (ETA_ARGV + ["--point", "0,0,1,0"],
+     "error: point [0, 0, 1, 0] is not in the crystal image for this word"),
+    (ETA_ARGV + ["--point", "1,-1,0,0"],
+     "error: point [1, -1, 0, 0] is not in the crystal image for this word"),
+    (ETA_ARGV + ["--point", "0,1,2,1,1"],
+     "error: point [0, 1, 2, 1, 1] is not in the crystal image for this word"),
+    # on a word that is not a longest word, a non-member is named before the word
+    (["eta", "--type", "A", "--rank", "2", "--word", "1,2", "--point", "1,-1"],
+     "error: point [1, -1] is not in the crystal image for this word"),
+    (["eta", "--type", "A", "--rank", "2", "--word", "1,2", "--point", "0,1"],
+     "error: base word must be a reduced word for the longest element"),
+    (["eta", "--type", "A", "--rank", "2", "--word", "1,2", "--point", "0,0"],
+     "error: base word must be a reduced word for the longest element"),
+])
+def test_eta_errors_are_pinned(capsys, argv, error, opposite):
+    code, out, err = run(capsys, argv + opposite)
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == error
 
 def test_matrix_subcommand(capsys):
     code, out, _ = run(capsys, ["matrix", "--type", "A", "--rank", "2",

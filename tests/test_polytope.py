@@ -1,8 +1,10 @@
 """Half-space systems: boxes, lattice points, normalization, implication."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crystal_polytope import polytope
 from crystal_polytope.demazure import enumerate_demazure
@@ -11,7 +13,7 @@ from crystal_polytope.polytope import (HalfSpaceSystem, bounding_box, lattice_po
                                        normalize, system_from_forms, _implied_by)
 from crystal_polytope.rootdata import ReducedWord, WeightVec, cartan_builtin, rho
 from crystal_polytope.zcrystal import SequenceSpec
-from reference import implied_by_projection
+from reference import brute_lattice_points, implied_by_projection
 
 A2 = cartan_builtin("A", 2)
 SPEC_A2 = SequenceSpec(A2, ReducedWord((1, 2, 1)))
@@ -50,6 +52,8 @@ def test_bounding_box_requires_bounded_systems():
     open_cone = HalfSpaceSystem.make(2, [((1, 0), 0), ((0, 1), 0)])
     with pytest.raises(ValueError):
         bounding_box(open_cone)
+    with pytest.raises(ValueError):
+        lattice_points(open_cone)
 
 
 def test_lattice_points_sorted_and_complete():
@@ -66,13 +70,55 @@ def test_lattice_points_of_a_unit_cube():
     assert lattice_points(cube) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
+def test_lattice_points_in_dimension_zero():
+    # the one point () is in the system exactly when every constant is nonnegative
+    assert lattice_points(HalfSpaceSystem.make(0, [])) == [()]
+    assert lattice_points(HalfSpaceSystem.make(0, [((), 0), ((), 3)])) == [()]
+    assert lattice_points(HalfSpaceSystem.make(0, [((), 3), ((), -1)])) == []
+
+
+def test_lattice_points_of_empty_systems():
+    # 2x = 1 leaves an empty box; x + y = 1 with x = y leaves the box [0, 1]^2
+    # with the rational point (1/2, 1/2) and no lattice point
+    halves = HalfSpaceSystem.make(1, [((2,), -1), ((-2,), 1)])
+    assert bounding_box(halves).volume() == 0
+    assert lattice_points(halves) == []
+    diagonal = HalfSpaceSystem.make(2, [((1, 1), -1), ((-1, -1), 1), ((1, -1), 0), ((-1, 1), 0),
+                                        ((1, 0), 0), ((0, 1), 0)])
+    assert bounding_box(diagonal).volume() == 4
+    assert lattice_points(diagonal) == []
+
+
+@st.composite
+def bounded_systems(draw):
+    """A box lo <= x <= hi cut by random rows, which may leave no box or no point."""
+    dim = draw(st.integers(0, 5))
+    rows = []
+    for j in range(dim):
+        unit = tuple(int(i == j) for i in range(dim))
+        lo = draw(st.integers(-2, 2))
+        hi = lo + draw(st.integers(0, 3))
+        rows += [(unit, -lo), (tuple(-c for c in unit), hi)]
+    cut = st.tuples(st.tuples(*[st.integers(-3, 3)] * dim), st.integers(-4, 8))
+    rows += draw(st.lists(cut, max_size=6))
+    return HalfSpaceSystem.make(dim, draw(st.permutations(rows)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(bounded_systems())
+def test_lattice_points_match_the_box_filter(system):
+    assert lattice_points(system) == brute_lattice_points(system)
+
+
 def test_system_from_forms_matches_direct_eval():
     xi = generate_xi(SPEC_A2, 3)
     forms = delta_forms(xi)
     system = system_from_forms(forms, 3, RHO2)
-    for point in ((0, 0, 0), (1, 2, 1), (1, 0, 1), (0, 2, 0)):
-        direct = all(f.eval(point, RHO2) >= 0 for f in forms)
-        assert system.satisfied(point) == direct
+    # the rho polytope sits in [0, 1] x [0, 2] x [0, 1]
+    direct = [p for p in itertools.product(range(-1, 4), repeat=3)
+              if all(f.eval(p, RHO2) >= 0 for f in forms)]
+    assert len(direct) == 8
+    assert brute_lattice_points(system) == direct
 
 
 def test_normalize_scales_and_dedups():
