@@ -2,25 +2,29 @@
 
 The image of the big crystal inside the sequence crystal is exactly the
 set of elements reachable from zero by lowering operators.  Membership
-is decided by greedy raising: repeatedly apply a raising operator with
-positive eps (smallest letter first).  A member reaches zero; every
-step from a member stays inside the image, and entries of image
+is decided by greedy raising in runs: raise as far as possible at the
+smallest letter with positive eps, then start again from the first
+letter.  A member reaches zero: every raising from a member stays inside
+the image and lowers the entry sum by one, and entries of image
 elements are never negative, so a negative entry or a stuck nonzero
-element refutes membership immediately.
+element refutes membership.  A non-member never reaches zero, since
+reaching it retraces a lowering path, so the order of the raisings does
+not change the verdict.
 
 The star involution is read off coordinate-wise: a member's coordinates
 are the string data of its star partner along the index sequence, so
-the partner is rebuilt by lowering from zero, top position first.
+the partner is rebuilt by lowering from zero, top position first, one
+lowering run (one kernel scan) per nonzero coordinate.
 """
 
 from __future__ import annotations
 
 from .rootdata import num_positive_roots, is_reduced
-from .zcrystal import SequenceSpec, ZElement, etilde, etilde_max, ftilde
+from .zcrystal import SequenceSpec, ZElement, etilde_max, ftilde_run
 
 
 def membership(spec: SequenceSpec, x: ZElement) -> bool:
-    """Greedy raising terminates at zero exactly on image elements."""
+    """Greedy raising in runs terminates at zero exactly on image elements."""
     cur = x
     while True:
         if any(v < 0 for v in cur.values):
@@ -28,8 +32,8 @@ def membership(spec: SequenceSpec, x: ZElement) -> bool:
         if cur.is_zero():
             return True
         for i in spec.cartan.index_set():
-            raised = etilde(spec, cur, i)
-            if raised is not None:
+            raised, count = etilde_max(spec, cur, i)
+            if count:
                 cur = raised
                 break
         else:
@@ -51,10 +55,11 @@ def _star_of_member(spec: SequenceSpec, x: ZElement) -> ZElement:
     a_1 lowerings at the first letter.
     """
     out = ZElement.zero()
+    letters = spec.letter_table(x.support_max())
     for pos in range(x.support_max(), 0, -1):
-        i = spec.letter(pos)
-        for _ in range(x.get(pos)):
-            out = ftilde(spec, out, i)
+        a = x.values[pos - 1]
+        if a:
+            out = ftilde_run(spec, out, letters[pos - 1], a)
     return out
 
 

@@ -12,6 +12,14 @@ included).  The raising operator subtracts 1 at the largest position
 attaining the maximum (only when the maximum is positive); the lowering
 operator adds 1 at the smallest attaining position.
 
+Every operator rests on one kernel scan: a backward pass over the
+support that reads the letters from the spec's table and the pairings
+from one row of the Cartan matrix.  A run at one letter (f_i applied a
+times, or e_i until it vanishes) costs one scan too: sigma is linear in
+x, so a step at position q moves sigma_q by 1, every earlier sigma of
+the same letter by 2 and no later one, and the run updates the scanned
+values in place.
+
 A dominant-weight twist glues a one-element crystal onto the right-hand
 side; the tensor rule then cuts the lowering directions, which is what
 makes the twisted crystal finite.
@@ -19,7 +27,8 @@ makes the twisted crystal finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 
 from .rootdata import CartanMatrix, ReducedWord, RootCombo, WeightVec, root_to_weight
 
@@ -84,97 +93,142 @@ class SequenceSpec:
     would repeat the base word's last letter, so every letter occurs
     infinitely often and adjacent letters differ.  Rank must be at least
     2 (with a single letter no sequence can avoid immediate repeats).
+
+    The letters are built once: a table holds the base word and whole
+    periods of the tail, and grows by periods when a longer support asks
+    for it.  Positions of one letter past the base are an arithmetic
+    progression, so ranges of them are read off without a scan.
     """
 
     cartan: CartanMatrix
     base: ReducedWord
+    _period: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _table: list[int] = field(init=False, repr=False, compare=False)
+    _base_positions: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _tail_first: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.cartan.rank < 2:
+        n = self.cartan.rank
+        if n < 2:
             raise ValueError("index sequences need rank >= 2")
         letters = self.base.letters
-        if any(not 1 <= l <= self.cartan.rank for l in letters):
+        if any(not 1 <= l <= n for l in letters):
             raise ValueError("base word letter out of range")
         for a, b in zip(letters, letters[1:]):
             if a == b:
                 raise ValueError("adjacent letters of the base word must differ")
+        skip = 1 if letters and letters[-1] == 1 else 0
+        period = tuple((t + skip) % n + 1 for t in range(n))
+        object.__setattr__(self, "_period", period)
+        object.__setattr__(self, "_table", [*letters, *period])
+        object.__setattr__(self, "_base_positions", tuple(
+            tuple(k for k, l in enumerate(letters, 1) if l == i) for i in range(1, n + 1)))
+        object.__setattr__(self, "_tail_first", tuple(
+            len(letters) + 1 + period.index(i) for i in range(1, n + 1)))
+
+    def letter_table(self, m: int) -> list[int]:
+        """Letters of positions 1..m (entry k - 1 is position k), possibly more.
+
+        The list is shared: callers read it and never change it.
+        """
+        table = self._table
+        while len(table) < m:
+            table.extend(self._period)
+        return table
 
     def letter(self, k: int) -> int:
         """Letter at position k >= 1."""
         if k < 1:
             raise ValueError("positions are 1-based")
-        base = self.base.letters
-        if k <= len(base):
-            return base[k - 1]
-        skip = 1 if base and base[-1] == 1 else 0
-        return (k - len(base) - 1 + skip) % self.cartan.rank + 1
+        if k <= len(self._table):
+            return self._table[k - 1]
+        return self._period[(k - len(self.base.letters) - 1) % self.cartan.rank]
+
+    def _tail_start(self, i: int, lo: int) -> int:
+        """Smallest position >= lo of letter i in the tail (every n-th from its first)."""
+        first = self._tail_first[i - 1]
+        return first if lo <= first else first - (first - lo) // self.cartan.rank * self.cartan.rank
+
+    def positions(self, i: int, lo: int, hi: int) -> list[int]:
+        """Positions p with lo <= p <= hi carrying letter i, increasing."""
+        in_base = self._base_positions[i - 1]
+        out = list(in_base[bisect_left(in_base, lo):bisect_right(in_base, hi)])
+        out.extend(range(self._tail_start(i, lo), hi + 1, self.cartan.rank))
+        return out
+
+    def next_position(self, i: int, k: int) -> int:
+        """Smallest position above k carrying letter i."""
+        in_base = self._base_positions[i - 1]
+        j = bisect_right(in_base, k)
+        return in_base[j] if j < len(in_base) else self._tail_start(i, k + 1)
 
     def next_same_letter(self, k: int) -> int:
         """Smallest position above k carrying the same letter."""
-        target = self.letter(k)
-        j = k + 1
-        while self.letter(j) != target:
-            j += 1
-        return j
+        return self.next_position(self.letter(k), k)
 
     def prev_same_letter(self, k: int) -> int:
         """Largest position below k carrying the same letter, or 0."""
-        target = self.letter(k)
-        for j in range(k - 1, 0, -1):
-            if self.letter(j) == target:
-                return j
-        return 0
+        earlier = self.positions(self.letter(k), 1, k - 1)
+        return earlier[-1] if earlier else 0
 
     def first_position_of(self, i: int) -> int:
-        k = 1
-        while self.letter(k) != i:
-            k += 1
-        return k
+        return self.next_position(i, 0)
 
 
 def sigma_k(spec: SequenceSpec, x: ZElement, k: int) -> int:
     """x_k plus the pairing-weighted sum of all later entries."""
-    i = spec.letter(k)
+    row = spec.cartan.rows[spec.letter(k) - 1]
+    letters = spec.letter_table(len(x.values))
     acc = x.get(k)
-    for pos, val in enumerate(x.values[k:], k + 1):
-        acc += spec.cartan.pairing(i, spec.letter(pos)) * val
+    for l, val in zip(letters[k:], x.values[k:]):
+        acc += row[l - 1] * val
     return acc
+
+
+def _scan(spec: SequenceSpec, x: ZElement, i: int) -> tuple[list[int], list[int], int]:
+    """The kernel scan: one backward pass over the support of x.
+
+    Returns the positions of letter i in the support (increasing), their
+    sigma values, and the pairing-weighted sum of all entries, which is
+    minus the i-th coordinate of wt(x).  Every position of letter i past
+    the support has sigma 0.
+    """
+    values = x.values
+    letters = spec.letter_table(len(values))
+    row = spec.cartan.rows[i - 1]
+    positions: list[int] = []
+    sigmas: list[int] = []
+    after = 0
+    for k in range(len(values) - 1, -1, -1):
+        v = values[k]
+        l = letters[k]
+        if l == i:
+            positions.append(k + 1)
+            sigmas.append(v + after)
+        after += row[l - 1] * v
+    positions.reverse()
+    sigmas.reverse()
+    return positions, sigmas, after
 
 
 def letter_max(spec: SequenceSpec, x: ZElement, i: int) -> tuple[int, list[int]]:
     """Max of sigma over positions with letter i, and the attaining positions.
 
-    One backward pass keeps the pairing-weighted sum of the entries after
-    the current position, so every sigma_k of letter i costs one step.
-    The pass scans past the support and the base word, plus one tail
-    cycle: beyond the support every sigma_k is zero, and the tail shows
-    every letter within any rank + 1 consecutive positions, so this
-    window exposes, for each letter, at least one position attaining the
-    zero tail value.  The base word must be cleared too: it may omit
-    letters entirely, and their first positions sit in the tail.
-
-    The max is always >= 0.  The returned positions are increasing and
-    cover the scan window only; when the max is 0 the true attaining set
-    is infinite and the list still contains its minimum.
+    One kernel scan gives every sigma_k of letter i in the support.
+    Beyond the support every sigma_k is zero, so the max is always >= 0,
+    and when it is 0 the positions of letter i past the support are
+    added without a loop over them (``SequenceSpec.positions``), up to
+    the window of the base word, the support and one tail cycle plus one
+    position.  That window shows every letter, so the list always
+    contains the smallest attaining position; the true attaining set is
+    then infinite.  The returned positions are increasing.
     """
-    values = x.values
-    m = len(values)
-    letter, pairing = spec.letter, spec.cartan.pairing
-    best = 0
-    hits: list[int] = []
-    after = 0
-    for k in range(max(m, len(spec.base.letters)) + spec.cartan.rank + 1, 0, -1):
-        l = letter(k)
-        v = values[k - 1] if k <= m else 0
-        if l == i:
-            s = v + after
-            if s > best:
-                best = s
-                hits = [k]
-            elif s == best:
-                hits.append(k)
-        after += pairing(i, l) * v
-    hits.reverse()
+    positions, sigmas, _ = _scan(spec, x, i)
+    best = max([0, *sigmas])
+    hits = [p for p, s in zip(positions, sigmas) if s == best]
+    if best == 0:
+        m = len(x.values)
+        hits += spec.positions(i, m + 1, max(m, len(spec.base.letters)) + spec.cartan.rank + 1)
     return best, hits
 
 
@@ -185,8 +239,8 @@ def eps(spec: SequenceSpec, x: ZElement, i: int) -> int:
 def wt(spec: SequenceSpec, x: ZElement) -> RootCombo:
     """Weight as a root-lattice element: minus the letter-weighted entry sums."""
     coeffs = [0] * spec.cartan.rank
-    for pos, val in enumerate(x.values, 1):
-        coeffs[spec.letter(pos) - 1] -= val
+    for l, val in zip(spec.letter_table(len(x.values)), x.values):
+        coeffs[l - 1] -= val
     return RootCombo(tuple(coeffs))
 
 
@@ -209,16 +263,66 @@ def ftilde(spec: SequenceSpec, x: ZElement, i: int) -> ZElement:
     return x.bump(min(hits), +1)
 
 
+def _lower(spec: SequenceSpec, x: ZElement, i: int, a: int,
+           positions: list[int], sigmas: list[int]) -> ZElement:
+    """f_i applied a times to x, given the kernel scan of x (the lists are consumed).
+
+    Every position of letter i past the support has sigma 0, so one
+    trailing sigma 0 stands for the smallest of them; its position is
+    looked up only when a step lands there, and the next one takes its
+    place.  A step at the smallest attaining position q adds 1 to x_q,
+    so sigma_q rises by 1, each earlier same-letter sigma by the
+    diagonal entry 2, and the later ones not at all.
+    """
+    values = list(x.values)
+    tail = len(values)
+    sigmas.append(0)
+    for _ in range(a):
+        q = sigmas.index(max(sigmas))
+        if q == len(positions):
+            tail = spec.next_position(i, tail)
+            positions.append(tail)
+            sigmas.append(0)
+        p = positions[q]
+        if p > len(values):
+            values += [0] * (p - len(values))
+        values[p - 1] += 1
+        sigmas[q] += 1
+        for t in range(q):
+            sigmas[t] += 2
+    return ZElement.from_coords(values)
+
+
+def ftilde_run(spec: SequenceSpec, x: ZElement, i: int, a: int) -> ZElement:
+    """The lowering operator f_i applied a times, on one kernel scan.
+
+    Sigma is linear in x, so the updates of ``_lower`` hold for every
+    integer vector, members of the image or not.
+    """
+    positions, sigmas, _ = _scan(spec, x, i)
+    return _lower(spec, x, i, a, positions, sigmas)
+
+
 def etilde_max(spec: SequenceSpec, x: ZElement, i: int) -> tuple[ZElement, int]:
-    """Apply the raising operator until it vanishes; return result and count."""
+    """Apply the raising operator until it vanishes; return result and count.
+
+    One kernel scan, then the sigma values of letter i are updated in
+    place: a step at the largest attaining position q subtracts 1 from
+    x_q, so sigma_q falls by 1, each earlier same-letter sigma by 2, and
+    the later ones not at all.  The zero tail never attains a positive
+    max, so the run stops when no sigma in the support is positive.
+    """
+    positions, sigmas, _ = _scan(spec, x, i)
+    values = list(x.values)
     count = 0
-    cur = x
-    while True:
-        nxt = etilde(spec, cur, i)
-        if nxt is None:
-            return cur, count
-        cur = nxt
+    while sigmas and (best := max(sigmas)) > 0:
+        q = len(sigmas) - 1 - sigmas[::-1].index(best)
+        values[positions[q] - 1] -= 1
+        sigmas[q] -= 1
+        for t in range(q):
+            sigmas[t] -= 2
         count += 1
+    return (ZElement.from_coords(values) if count else x), count
 
 
 @dataclass(frozen=True)
@@ -266,7 +370,12 @@ def twist_etilde(t: LambdaTwist, i: int) -> LambdaTwist | None:
 
 
 def twist_ftilde(t: LambdaTwist, i: int) -> LambdaTwist | None:
-    """Tensor rule: lower the body only when its phi strictly beats the right factor's eps."""
-    if phi(t.spec, t.body, i) > -t.lam[i]:
-        return LambdaTwist(t.spec, ftilde(t.spec, t.body, i), t.lam)
+    """Tensor rule: lower the body only when its phi strictly beats the right factor's eps.
+
+    One kernel scan gives both: the body's phi is its eps minus the
+    pairing-weighted entry sum, and the scan's sigmas place the step.
+    """
+    positions, sigmas, paired = _scan(t.spec, t.body, i)
+    if max([0, *sigmas]) - paired > -t.lam[i]:
+        return LambdaTwist(t.spec, _lower(t.spec, t.body, i, 1, positions, sigmas), t.lam)
     return None

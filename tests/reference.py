@@ -9,9 +9,9 @@ of a letter) against ``inequalities.shat`` and its single template,
 implication by projecting onto the value of the row against
 ``polytope._implied_by`` and its strict negation, a filter of every
 cell of the bounding box against ``polytope.lattice_points`` and its
-depth-first walk, and the dimension
-formula through a symmetrizer against ``rootdata.weyl_dim_oracle`` and
-its coroots.
+depth-first walk, the dimension formula through a symmetrizer against
+``rootdata.weyl_dim_oracle`` and its coroots, and greedy raising one
+step at a time against ``binfinity.membership`` and its raising runs.
 """
 
 import itertools
@@ -23,7 +23,7 @@ from crystal_polytope.polytope import HalfSpaceSystem, bounding_box
 from crystal_polytope.rootdata import (CartanMatrix, WeightVec, is_reduced, num_positive_roots,
                                        positive_roots)
 from crystal_polytope.valuation import MultiPoly, PolyMatrix
-from crystal_polytope.zcrystal import SequenceSpec
+from crystal_polytope.zcrystal import SequenceSpec, ZElement, etilde
 
 
 def chevalley_value(f: MultiPoly) -> tuple:
@@ -231,3 +231,20 @@ def weyl_dim_symmetrized(cartan: CartanMatrix, lam: WeightVec) -> int:
         dim *= Fraction(num, den)
     assert dim.denominator == 1
     return int(dim)
+
+
+def greedy_membership(spec: SequenceSpec, x: ZElement) -> bool:
+    """Raise one step at a time at the smallest letter with positive eps; members reach zero."""
+    cur = x
+    while True:
+        if any(v < 0 for v in cur.values):
+            return False
+        if cur.is_zero():
+            return True
+        for i in spec.cartan.index_set():
+            raised = etilde(spec, cur, i)
+            if raised is not None:
+                cur = raised
+                break
+        else:
+            return False

@@ -6,9 +6,13 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from crystal_polytope.binfinity import eta, eta_opposite, membership, star, string_param
+from crystal_polytope import zcrystal
+from crystal_polytope.binfinity import (_star_of_member, eta, eta_opposite, membership, star,
+                                        string_param)
 from crystal_polytope.rootdata import ReducedWord, cartan_builtin
 from crystal_polytope.zcrystal import SequenceSpec, ZElement, eps, ftilde
+
+from reference import greedy_membership
 
 A2 = cartan_builtin("A", 2)
 C2 = cartan_builtin("C", 2)
@@ -183,3 +187,33 @@ def test_eta_rejects_exactly_the_non_members(data):
         else:
             with pytest.raises(ValueError):
                 chart(spec, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(longest_spec_and_signed_point())
+def test_membership_by_runs_matches_step_by_step_raising(data):
+    spec, x = data
+    assert membership(spec, x) == greedy_membership(spec, x)
+
+
+def test_star_partner_costs_one_scan_per_nonzero_coordinate(monkeypatch):
+    calls = []
+    scan = zcrystal._scan
+
+    def counted(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(zcrystal, "_scan", counted)
+    spec = LONGEST[3]
+    # members reached by lowering from zero, with their number of nonzero coordinates
+    runs = {(): 0, (1, 1, 1): 1, (2, 1, 2, 3, 3, 2, 1, 1): 5,
+            (1, 2, 3, 1, 2, 1, 3, 3, 2, 2, 1, 1, 1): 5}
+    for letters, nonzero in runs.items():
+        x = ZElement.zero()
+        for i in letters:
+            x = ftilde(spec, x, i)
+        calls.clear()
+        partner = _star_of_member(spec, x)
+        assert len(calls) == nonzero
+        assert star(spec, partner) == x

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from crystal_polytope.rootdata import (ReducedWord, WeightVec, cartan_builtin,
                                        root_to_weight, simple_root)
 from crystal_polytope.zcrystal import (LambdaTwist, SequenceSpec, ZElement, eps,
-                                       etilde, etilde_max, ftilde, letter_max, phi,
+                                       etilde, etilde_max, ftilde, ftilde_run, letter_max, phi,
                                        sigma_k, twist_eps, twist_etilde, twist_ftilde,
                                        twist_phi, twist_wt, wt)
 
@@ -211,3 +211,40 @@ def test_letter_max_is_the_brute_force_max_of_sigma(data):
     sigmas = {k: sigma_k(spec, x, k) for k in range(1, window + 1) if spec.letter(k) == i}
     best = max([0, *sigmas.values()])
     assert letter_max(spec, x, i) == (best, [k for k, s in sigmas.items() if s == best])
+
+
+LADDER_SPECS = [
+    SequenceSpec(cartan_builtin(family, rank), ReducedWord(word)) for family, rank, word in (
+        ("A", 2, (1, 2, 1)), ("C", 2, (1, 2, 1, 2)), ("G", 2, (1, 2, 1, 2, 1, 2)),
+        ("A", 3, (1, 2, 1, 3, 2, 1)), ("B", 3, (1, 2, 1, 3, 2, 1, 3, 2, 3)),
+        ("C", 3, (1, 2, 1, 3, 2, 1, 3, 2, 3)))]
+
+
+@st.composite
+def ladder_signed_point_letter(draw):
+    """A ladder chart, signed entries in [-1, 3] up to rank positions past the base, a letter."""
+    spec = draw(st.sampled_from(LADDER_SPECS))
+    width = len(spec.base.letters) + draw(st.integers(0, spec.cartan.rank))
+    coords = draw(st.lists(st.integers(-1, 3), min_size=width, max_size=width))
+    return spec, ZElement.from_coords(tuple(coords)), draw(st.integers(1, spec.cartan.rank))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ladder_signed_point_letter(), st.integers(0, 5))
+def test_lowering_run_is_repeated_lowering(data, a):
+    spec, x, i = data
+    expected = x
+    for _ in range(a):
+        expected = ftilde(spec, expected, i)
+    assert ftilde_run(spec, x, i, a) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(ladder_signed_point_letter())
+def test_raising_run_is_repeated_raising(data):
+    spec, x, i = data
+    expected, count = x, 0
+    while (raised := etilde(spec, expected, i)) is not None:
+        expected, count = raised, count + 1
+    assert etilde_max(spec, x, i) == (expected, count)
+
