@@ -18,7 +18,7 @@ from one row of the Cartan matrix.  A run at one letter (f_i applied a
 times, or e_i until it vanishes) costs one scan too: sigma is linear in
 x, so a step at position q moves sigma_q by 1, every earlier sigma of
 the same letter by 2 and no later one, and the run updates the scanned
-values in place.
+values in place.  The single lowering step is a run of length one.
 
 A dominant-weight twist glues a one-element crystal onto the right-hand
 side; the tensor rule then cuts the lowering directions, which is what
@@ -27,7 +27,6 @@ makes the twisted crystal finite.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .rootdata import CartanMatrix, ReducedWord, RootCombo, WeightVec, root_to_weight
@@ -96,16 +95,13 @@ class SequenceSpec:
 
     The letters are built once: a table holds the base word and whole
     periods of the tail, and grows by periods when a longer support asks
-    for it.  Positions of one letter past the base are an arithmetic
-    progression, so ranges of them are read off without a scan.
+    for it.
     """
 
     cartan: CartanMatrix
     base: ReducedWord
     _period: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _table: list[int] = field(init=False, repr=False, compare=False)
-    _base_positions: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _tail_first: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.cartan.rank
@@ -121,10 +117,6 @@ class SequenceSpec:
         period = tuple((t + skip) % n + 1 for t in range(n))
         object.__setattr__(self, "_period", period)
         object.__setattr__(self, "_table", [*letters, *period])
-        object.__setattr__(self, "_base_positions", tuple(
-            tuple(k for k, l in enumerate(letters, 1) if l == i) for i in range(1, n + 1)))
-        object.__setattr__(self, "_tail_first", tuple(
-            len(letters) + 1 + period.index(i) for i in range(1, n + 1)))
 
     def letter_table(self, m: int) -> list[int]:
         """Letters of positions 1..m (entry k - 1 is position k), possibly more.
@@ -144,35 +136,27 @@ class SequenceSpec:
             return self._table[k - 1]
         return self._period[(k - len(self.base.letters) - 1) % self.cartan.rank]
 
-    def _tail_start(self, i: int, lo: int) -> int:
-        """Smallest position >= lo of letter i in the tail (every n-th from its first)."""
-        first = self._tail_first[i - 1]
-        return first if lo <= first else first - (first - lo) // self.cartan.rank * self.cartan.rank
-
-    def positions(self, i: int, lo: int, hi: int) -> list[int]:
-        """Positions p with lo <= p <= hi carrying letter i, increasing."""
-        in_base = self._base_positions[i - 1]
-        out = list(in_base[bisect_left(in_base, lo):bisect_right(in_base, hi)])
-        out.extend(range(self._tail_start(i, lo), hi + 1, self.cartan.rank))
-        return out
-
-    def next_position(self, i: int, k: int) -> int:
-        """Smallest position above k carrying letter i."""
-        in_base = self._base_positions[i - 1]
-        j = bisect_right(in_base, k)
-        return in_base[j] if j < len(in_base) else self._tail_start(i, k + 1)
-
     def next_same_letter(self, k: int) -> int:
         """Smallest position above k carrying the same letter."""
-        return self.next_position(self.letter(k), k)
+        target = self.letter(k)
+        j = k + 1
+        while self.letter(j) != target:
+            j += 1
+        return j
 
     def prev_same_letter(self, k: int) -> int:
         """Largest position below k carrying the same letter, or 0."""
-        earlier = self.positions(self.letter(k), 1, k - 1)
-        return earlier[-1] if earlier else 0
+        target = self.letter(k)
+        for j in range(k - 1, 0, -1):
+            if self.letter(j) == target:
+                return j
+        return 0
 
     def first_position_of(self, i: int) -> int:
-        return self.next_position(i, 0)
+        k = 1
+        while self.letter(k) != i:
+            k += 1
+        return k
 
 
 def sigma_k(spec: SequenceSpec, x: ZElement, k: int) -> int:
@@ -217,18 +201,20 @@ def letter_max(spec: SequenceSpec, x: ZElement, i: int) -> tuple[int, list[int]]
     One kernel scan gives every sigma_k of letter i in the support.
     Beyond the support every sigma_k is zero, so the max is always >= 0,
     and when it is 0 the positions of letter i past the support are
-    added without a loop over them (``SequenceSpec.positions``), up to
-    the window of the base word, the support and one tail cycle plus one
-    position.  That window shows every letter, so the list always
-    contains the smallest attaining position; the true attaining set is
-    then infinite.  The returned positions are increasing.
+    read from the letter table, up to the window of the base word, the
+    support and one tail cycle plus one position.  That window shows
+    every letter, so the list always contains the smallest attaining
+    position; the true attaining set is then infinite.  The returned
+    positions are increasing.
     """
     positions, sigmas, _ = _scan(spec, x, i)
     best = max([0, *sigmas])
     hits = [p for p, s in zip(positions, sigmas) if s == best]
     if best == 0:
         m = len(x.values)
-        hits += spec.positions(i, m + 1, max(m, len(spec.base.letters)) + spec.cartan.rank + 1)
+        window = max(m, len(spec.base.letters)) + spec.cartan.rank + 1
+        letters = spec.letter_table(window)
+        hits += [k for k in range(m + 1, window + 1) if letters[k - 1] == i]
     return best, hits
 
 
@@ -258,9 +244,8 @@ def etilde(spec: SequenceSpec, x: ZElement, i: int) -> ZElement | None:
 
 
 def ftilde(spec: SequenceSpec, x: ZElement, i: int) -> ZElement:
-    """Lower in direction i: add 1 at the smallest max position."""
-    _, hits = letter_max(spec, x, i)
-    return x.bump(min(hits), +1)
+    """Lower in direction i: add 1 at the smallest max position (a run of one step)."""
+    return ftilde_run(spec, x, i, 1)
 
 
 def _lower(spec: SequenceSpec, x: ZElement, i: int, a: int,
@@ -280,7 +265,9 @@ def _lower(spec: SequenceSpec, x: ZElement, i: int, a: int,
     for _ in range(a):
         q = sigmas.index(max(sigmas))
         if q == len(positions):
-            tail = spec.next_position(i, tail)
+            tail += 1
+            while spec.letter(tail) != i:
+                tail += 1
             positions.append(tail)
             sigmas.append(0)
         p = positions[q]

@@ -10,8 +10,10 @@ implication by projecting onto the value of the row against
 ``polytope._implied_by`` and its strict negation, a filter of every
 cell of the bounding box against ``polytope.lattice_points`` and its
 depth-first walk, the dimension formula through a symmetrizer against
-``rootdata.weyl_dim_oracle`` and its coroots, and greedy raising one
-step at a time against ``binfinity.membership`` and its raising runs.
+``rootdata.weyl_dim_oracle`` and its coroots, greedy raising one step
+at a time against ``binfinity.membership`` and its raising runs, and
+the lowering operator read off every sigma_k against
+``zcrystal.ftilde_run`` and its in-place updates.
 """
 
 import itertools
@@ -23,7 +25,7 @@ from crystal_polytope.polytope import HalfSpaceSystem, bounding_box
 from crystal_polytope.rootdata import (CartanMatrix, WeightVec, is_reduced, num_positive_roots,
                                        positive_roots)
 from crystal_polytope.valuation import MultiPoly, PolyMatrix
-from crystal_polytope.zcrystal import SequenceSpec, ZElement, etilde
+from crystal_polytope.zcrystal import SequenceSpec, ZElement, etilde, sigma_k
 
 
 def chevalley_value(f: MultiPoly) -> tuple:
@@ -248,3 +250,16 @@ def greedy_membership(spec: SequenceSpec, x: ZElement) -> bool:
                 break
         else:
             return False
+
+
+def lowering_step(spec: SequenceSpec, x: ZElement, i: int) -> ZElement:
+    """f_i by its definition: add 1 at the smallest position of letter i attaining max sigma.
+
+    Every sigma_k is computed on its own over the base word, the support
+    and one tail cycle plus one position, a window that shows every
+    letter past the support, where sigma is 0.
+    """
+    window = max(x.support_max(), len(spec.base.letters)) + spec.cartan.rank + 1
+    sigmas = {k: sigma_k(spec, x, k) for k in range(1, window + 1) if spec.letter(k) == i}
+    best = max([0, *sigmas.values()])
+    return x.bump(min(k for k, s in sigmas.items() if s == best), +1)
