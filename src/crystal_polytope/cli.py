@@ -264,6 +264,9 @@ def _dispatch(args) -> int:
 
 
 def _theorem_check(args, cartan, spec, word, lam, meta) -> int:
+    type_a = cartan == cartan_builtin("A", cartan.rank)
+    if args.degree_cap is not None and not type_a:
+        raise ValueError("--degree-cap checks the valuation side, which exists for type A only")
     checks = []
 
     def record(name: str, ok: bool, detail: str):
@@ -319,7 +322,7 @@ def _theorem_check(args, cartan, spec, word, lam, meta) -> int:
         record("eta_string_bijection", image == strung and len(image) == len(dem),
                f"{len(image)} star-chart images vs {len(strung)} string points")
 
-    if cartan == cartan_builtin("A", cartan.rank):
+    if type_a:
         span = section_span(unipotent_product(word, builtin_generators(cartan)), lam)
         values = value_set_of_span(span, ValuationOrder.HI)
         exps = {tuple(-x for x in v) for v in values}

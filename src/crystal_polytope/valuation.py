@@ -145,7 +145,10 @@ def parse_poly(text: str, nvars: int) -> MultiPoly:
             if not m:
                 raise ValueError(f"cannot parse factor {factor!r}")
             if m.group(3) is not None:
-                coeff *= Fraction(m.group(3))
+                try:
+                    coeff *= Fraction(m.group(3))
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in {factor!r}") from None
                 continue
             k = int(m.group(1))
             if not 1 <= k <= nvars:

@@ -12,13 +12,14 @@ included).  The raising operator subtracts 1 at the largest position
 attaining the maximum (only when the maximum is positive); the lowering
 operator adds 1 at the smallest attaining position.
 
-Every operator rests on one kernel scan: a backward pass over the
-support that reads the letters from the spec's table and the pairings
-from one row of the Cartan matrix.  A run at one letter (f_i applied a
-times, or e_i until it vanishes) costs one scan too: sigma is linear in
-x, so a step at position q moves sigma_q by 1, every earlier sigma of
-the same letter by 2 and no later one, and the run updates the scanned
-values in place.  The single lowering step is a run of length one.
+Every statistic and every operator rests on one kernel scan: a backward
+pass over the support, reading the spec's letter table and one row of
+the Cartan matrix, gives the sigmas of letter i and minus the i-th
+weight coordinate, so eps and phi share it.  A run at one letter (f_i or
+e_i applied up to a count) costs one scan too: sigma is linear in x, so
+a step at position q moves sigma_q by 1, every earlier sigma of the same
+letter by 2 and no later one, and the run updates the scanned values in
+place.  A single lowering or raising step is a run of length one.
 
 A dominant-weight twist glues a one-element crystal onto the right-hand
 side; the tensor rule then cuts the lowering directions, which is what
@@ -54,9 +55,6 @@ class ZElement:
     @staticmethod
     def zero() -> "ZElement":
         return ZElement(())
-
-    def get(self, pos: int) -> int:
-        return self.values[pos - 1] if 0 < pos <= len(self.values) else 0
 
     def support_max(self) -> int:
         """Largest position with a nonzero entry; 0 for the zero element."""
@@ -159,16 +157,6 @@ class SequenceSpec:
         return k
 
 
-def sigma_k(spec: SequenceSpec, x: ZElement, k: int) -> int:
-    """x_k plus the pairing-weighted sum of all later entries."""
-    row = spec.cartan.rows[spec.letter(k) - 1]
-    letters = spec.letter_table(len(x.values))
-    acc = x.get(k)
-    for l, val in zip(letters[k:], x.values[k:]):
-        acc += row[l - 1] * val
-    return acc
-
-
 def _scan(spec: SequenceSpec, x: ZElement, i: int) -> tuple[list[int], list[int], int]:
     """The kernel scan: one backward pass over the support of x.
 
@@ -196,26 +184,15 @@ def _scan(spec: SequenceSpec, x: ZElement, i: int) -> tuple[list[int], list[int]
 
 
 def letter_max(spec: SequenceSpec, x: ZElement, i: int) -> tuple[int, list[int]]:
-    """Max of sigma over positions with letter i, and the attaining positions.
+    """Max of sigma over positions with letter i, and its positions in the support.
 
-    One kernel scan gives every sigma_k of letter i in the support.
-    Beyond the support every sigma_k is zero, so the max is always >= 0,
-    and when it is 0 the positions of letter i past the support are
-    read from the letter table, up to the window of the base word, the
-    support and one tail cycle plus one position.  That window shows
-    every letter, so the list always contains the smallest attaining
-    position; the true attaining set is then infinite.  The returned
-    positions are increasing.
+    One kernel scan gives every sigma_k of letter i in the support; past it
+    every sigma_k is 0, so the max is >= 0 and, when it is 0, also attained
+    by the zero tail, which is not listed.  The positions are increasing.
     """
     positions, sigmas, _ = _scan(spec, x, i)
     best = max([0, *sigmas])
-    hits = [p for p, s in zip(positions, sigmas) if s == best]
-    if best == 0:
-        m = len(x.values)
-        window = max(m, len(spec.base.letters)) + spec.cartan.rank + 1
-        letters = spec.letter_table(window)
-        hits += [k for k in range(m + 1, window + 1) if letters[k - 1] == i]
-    return best, hits
+    return best, [p for p, s in zip(positions, sigmas) if s == best]
 
 
 def eps(spec: SequenceSpec, x: ZElement, i: int) -> int:
@@ -231,16 +208,16 @@ def wt(spec: SequenceSpec, x: ZElement) -> RootCombo:
 
 
 def phi(spec: SequenceSpec, x: ZElement, i: int) -> int:
-    w = root_to_weight(spec.cartan, wt(spec, x))
-    return eps(spec, x, i) + w[i]
+    """eps plus the i-th weight coordinate, both read off one kernel scan."""
+    _, sigmas, paired = _scan(spec, x, i)
+    return max([0, *sigmas]) - paired
 
 
 def etilde(spec: SequenceSpec, x: ZElement, i: int) -> ZElement | None:
-    """Raise in direction i: subtract 1 at the largest max position; None at the wall."""
-    best, hits = letter_max(spec, x, i)
-    if best == 0:
-        return None
-    return x.bump(max(hits), -1)
+    """Raise in direction i: a run of at most one step; None at the wall."""
+    positions, sigmas, _ = _scan(spec, x, i)
+    raised, count = _raise(x, positions, sigmas, 1)
+    return raised if count else None
 
 
 def ftilde(spec: SequenceSpec, x: ZElement, i: int) -> ZElement:
@@ -280,6 +257,26 @@ def _lower(spec: SequenceSpec, x: ZElement, i: int, a: int,
     return ZElement.from_coords(values)
 
 
+def _raise(x: ZElement, positions: list[int], sigmas: list[int],
+           limit: int | None) -> tuple[ZElement, int]:
+    """e_i applied to x up to limit times (None: until it vanishes), and the count.
+
+    The lists are the kernel scan of x and are consumed.  A step at the
+    largest attaining position q moves sigma_q by -1 and each earlier
+    same-letter sigma by -2; the zero tail never attains a positive max.
+    """
+    values = list(x.values)
+    count = 0
+    while count != limit and sigmas and (best := max(sigmas)) > 0:
+        q = len(sigmas) - 1 - sigmas[::-1].index(best)
+        values[positions[q] - 1] -= 1
+        sigmas[q] -= 1
+        for t in range(q):
+            sigmas[t] -= 2
+        count += 1
+    return (ZElement.from_coords(values) if count else x), count
+
+
 def ftilde_run(spec: SequenceSpec, x: ZElement, i: int, a: int) -> ZElement:
     """The lowering operator f_i applied a times, on one kernel scan.
 
@@ -291,25 +288,9 @@ def ftilde_run(spec: SequenceSpec, x: ZElement, i: int, a: int) -> ZElement:
 
 
 def etilde_max(spec: SequenceSpec, x: ZElement, i: int) -> tuple[ZElement, int]:
-    """Apply the raising operator until it vanishes; return result and count.
-
-    One kernel scan, then the sigma values of letter i are updated in
-    place: a step at the largest attaining position q subtracts 1 from
-    x_q, so sigma_q falls by 1, each earlier same-letter sigma by 2, and
-    the later ones not at all.  The zero tail never attains a positive
-    max, so the run stops when no sigma in the support is positive.
-    """
+    """e_i applied until it vanishes, on one kernel scan; the result and the count."""
     positions, sigmas, _ = _scan(spec, x, i)
-    values = list(x.values)
-    count = 0
-    while sigmas and (best := max(sigmas)) > 0:
-        q = len(sigmas) - 1 - sigmas[::-1].index(best)
-        values[positions[q] - 1] -= 1
-        sigmas[q] -= 1
-        for t in range(q):
-            sigmas[t] -= 2
-        count += 1
-    return (ZElement.from_coords(values) if count else x), count
+    return _raise(x, positions, sigmas, None)
 
 
 @dataclass(frozen=True)
@@ -337,9 +318,9 @@ def twist_wt(t: LambdaTwist) -> WeightVec:
 
 
 def twist_eps(t: LambdaTwist, i: int) -> int:
-    body_eps = eps(t.spec, t.body, i)
-    body_wt = root_to_weight(t.spec.cartan, wt(t.spec, t.body))
-    return max(body_eps, -t.lam[i] - body_wt[i])
+    """The larger of the body's eps and the right factor's eps minus the body's weight."""
+    _, sigmas, paired = _scan(t.spec, t.body, i)
+    return max(0, *sigmas, paired - t.lam[i])
 
 
 def twist_phi(t: LambdaTwist, i: int) -> int:
@@ -347,12 +328,11 @@ def twist_phi(t: LambdaTwist, i: int) -> int:
 
 
 def twist_etilde(t: LambdaTwist, i: int) -> LambdaTwist | None:
-    """Tensor rule: raise the body when its phi is >= the right factor's eps."""
-    if phi(t.spec, t.body, i) >= -t.lam[i]:
-        raised = etilde(t.spec, t.body, i)
-        if raised is None:
-            return None
-        return LambdaTwist(t.spec, raised, t.lam)
+    """Tensor rule: raise the body when its phi is >= the right factor's eps (one scan)."""
+    positions, sigmas, paired = _scan(t.spec, t.body, i)
+    if max([0, *sigmas]) - paired >= -t.lam[i]:
+        raised, count = _raise(t.body, positions, sigmas, 1)
+        return LambdaTwist(t.spec, raised, t.lam) if count else None
     return None  # routed to the one-point factor, which the operator kills
 
 

@@ -10,10 +10,14 @@ implication by projecting onto the value of the row against
 ``polytope._implied_by`` and its strict negation, a filter of every
 cell of the bounding box against ``polytope.lattice_points`` and its
 depth-first walk, the dimension formula through a symmetrizer against
-``rootdata.weyl_dim_oracle`` and its coroots, greedy raising one step
-at a time against ``binfinity.membership`` and its raising runs, and
-the lowering operator read off every sigma_k against
-``zcrystal.ftilde_run`` and its in-place updates.
+``rootdata.weyl_dim_oracle`` and its coroots, and greedy raising one
+step at a time against ``binfinity.membership`` and its raising runs.
+The crystal kernel is checked against sigma_k, computed position by
+position from its definition: the maxima of ``zcrystal.letter_max``
+against its kernel scan, and a lowering and a raising step read off
+every sigma_k against the runs of ``zcrystal._lower`` and
+``zcrystal._raise`` and their in-place updates.  None of these calls a
+``zcrystal`` operator.
 """
 
 import itertools
@@ -25,7 +29,7 @@ from crystal_polytope.polytope import HalfSpaceSystem, bounding_box
 from crystal_polytope.rootdata import (CartanMatrix, WeightVec, is_reduced, num_positive_roots,
                                        positive_roots)
 from crystal_polytope.valuation import MultiPoly, PolyMatrix
-from crystal_polytope.zcrystal import SequenceSpec, ZElement, etilde, sigma_k
+from crystal_polytope.zcrystal import SequenceSpec, ZElement
 
 
 def chevalley_value(f: MultiPoly) -> tuple:
@@ -235,6 +239,15 @@ def weyl_dim_symmetrized(cartan: CartanMatrix, lam: WeightVec) -> int:
     return int(dim)
 
 
+def sigma_k(spec: SequenceSpec, x: ZElement, k: int) -> int:
+    """x_k plus the pairing-weighted sum of all later entries, one entry at a time."""
+    i = spec.letter(k)
+    values = x.values
+    own = values[k - 1] if k <= len(values) else 0
+    return own + sum(spec.cartan.pairing(i, spec.letter(j)) * values[j - 1]
+                     for j in range(k + 1, len(values) + 1))
+
+
 def greedy_membership(spec: SequenceSpec, x: ZElement) -> bool:
     """Raise one step at a time at the smallest letter with positive eps; members reach zero."""
     cur = x
@@ -244,7 +257,7 @@ def greedy_membership(spec: SequenceSpec, x: ZElement) -> bool:
         if cur.is_zero():
             return True
         for i in spec.cartan.index_set():
-            raised = etilde(spec, cur, i)
+            raised = raising_step(spec, cur, i)
             if raised is not None:
                 cur = raised
                 break
@@ -263,3 +276,18 @@ def lowering_step(spec: SequenceSpec, x: ZElement, i: int) -> ZElement:
     sigmas = {k: sigma_k(spec, x, k) for k in range(1, window + 1) if spec.letter(k) == i}
     best = max([0, *sigmas.values()])
     return x.bump(min(k for k, s in sigmas.items() if s == best), +1)
+
+
+def raising_step(spec: SequenceSpec, x: ZElement, i: int) -> ZElement | None:
+    """e_i by its definition: subtract 1 at the largest position of letter i attaining a
+    positive max sigma; None when the max is 0.
+
+    Past the support every sigma_k is 0, so a positive max is attained in
+    the support, and only the support's sigma_k are computed.
+    """
+    sigmas = {k: sigma_k(spec, x, k) for k in range(1, x.support_max() + 1)
+              if spec.letter(k) == i}
+    best = max([0, *sigmas.values()])
+    if best == 0:
+        return None
+    return x.bump(max(k for k, s in sigmas.items() if s == best), -1)

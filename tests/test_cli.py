@@ -627,6 +627,22 @@ def test_weight_of_the_wrong_rank_is_rejected(capsys, command):
     assert err.splitlines()[-1] == "error: weight rank mismatch"
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["valuation", "--vars", "3", "--order", "hi", "--poly", "t5"],
+     "error: variable t5 out of range (nvars=3)"),
+    (["valuation", "--vars", "1", "--order", "hi", "--poly", "1/0"],
+     "error: zero denominator in '1/0'"),
+    # the valuation side exists for type A only, so the cap would check nothing
+    (["theorem-check", "--type", "C", "--rank", "2", "--word", "1,2,1,2", "--lambda", "1,1",
+      "--degree-cap", "2"],
+     "error: --degree-cap checks the valuation side, which exists for type A only"),
+])
+def test_data_errors_exit_one_with_one_error_line(capsys, argv, error):
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [error]
+
+
 def test_gcm_file_equivalent_to_builtin(capsys, tmp_path):
     gcm = tmp_path / "c2.json"
     gcm.write_text(json.dumps([[2, -2], [-1, 2]]))

@@ -29,6 +29,9 @@ def test_parse_and_render_round_trip():
         parse_poly("t5", 3)
     with pytest.raises(ValueError):
         parse_poly("x + 1", 2)
+    for text in ("1/0", "t1 + 3/00*t2"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_poly(text, 2)
 
 
 def test_poly_arithmetic():

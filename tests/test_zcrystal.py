@@ -5,11 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from crystal_polytope.rootdata import (ReducedWord, WeightVec, cartan_builtin,
                                        root_to_weight, simple_root)
+from crystal_polytope import zcrystal
 from crystal_polytope.zcrystal import (LambdaTwist, SequenceSpec, ZElement, eps,
                                        etilde, etilde_max, ftilde, ftilde_run, letter_max, phi,
-                                       sigma_k, twist_eps, twist_etilde, twist_ftilde,
+                                       twist_eps, twist_etilde, twist_ftilde,
                                        twist_phi, twist_wt, wt)
-from reference import lowering_step
+from reference import lowering_step, raising_step, sigma_k
 
 A2 = cartan_builtin("A", 2)
 C2 = cartan_builtin("C", 2)
@@ -207,9 +208,11 @@ def test_letter_matches_the_tail_rule_step_by_step(data):
 @settings(max_examples=150, deadline=None)
 @given(spec_point_letter())
 def test_letter_max_is_the_brute_force_max_of_sigma(data):
+    # the attaining positions are listed in the support only: the zero tail
+    # attains a zero max at infinitely many positions
     spec, x, i = data
-    window = max(x.support_max(), len(spec.base.letters)) + spec.cartan.rank + 1
-    sigmas = {k: sigma_k(spec, x, k) for k in range(1, window + 1) if spec.letter(k) == i}
+    sigmas = {k: sigma_k(spec, x, k) for k in range(1, x.support_max() + 1)
+              if spec.letter(k) == i}
     best = max([0, *sigmas.values()])
     assert letter_max(spec, x, i) == (best, [k for k, s in sigmas.items() if s == best])
 
@@ -246,8 +249,29 @@ def test_lowering_run_is_repeated_lowering(data, a):
 @given(ladder_signed_point_letter())
 def test_raising_run_is_repeated_raising(data):
     spec, x, i = data
+    assert etilde(spec, x, i) == raising_step(spec, x, i)
     expected, count = x, 0
-    while (raised := etilde(spec, expected, i)) is not None:
+    while (raised := raising_step(spec, expected, i)) is not None:
         expected, count = raised, count + 1
     assert etilde_max(spec, x, i) == (expected, count)
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: phi(t.spec, t.body, 1), lambda t: etilde(t.spec, t.body, 1),
+    lambda t: etilde_max(t.spec, t.body, 1), lambda t: ftilde(t.spec, t.body, 1),
+    lambda t: twist_eps(t, 1), lambda t: twist_etilde(t, 1), lambda t: twist_ftilde(t, 1)],
+    ids=["phi", "etilde", "etilde_max", "ftilde", "twist_eps", "twist_etilde", "twist_ftilde"])
+def test_each_statistic_and_operator_scans_once(monkeypatch, call):
+    # eps, phi and the step all come from one kernel scan; (0, 1, 1) has
+    # eps_1 = 1 and phi_1 = 0, so at rho every operator here moves it
+    scans = []
+    original = zcrystal._scan
+
+    def counted(*args):
+        scans.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(zcrystal, "_scan", counted)
+    call(LambdaTwist(SPEC_A2, ZElement.from_coords((0, 1, 1)), WeightVec((1, 1))))
+    assert len(scans) == 1
 
