@@ -16,7 +16,7 @@ from .rootdata import CartanMatrix, WeightVec, RootCombo, ReducedWord, cartan_bu
 from .zcrystal import SequenceSpec, ZElement, LambdaTwist
 from .binfinity import membership, star, string_param, eta, eta_opposite
 from .demazure import DemazureSet, enumerate_demazure, btilde_cut, string_points
-from .inequalities import AffineForm, XiSet, generate_xi, ample_check, delta_forms, delta_hrep
+from .inequalities import AffineForm, XiSet, generate_xi, ample_check, delta_system, delta_hrep
 from .polytope import HalfSpaceSystem, LatticeBox, bounding_box, lattice_points, normalize
 from .valuation import (ValuationOrder, MultiPoly, PolyMatrix, parse_poly, value,
                         builtin_generators, unipotent_product, column_minors,
@@ -45,7 +45,7 @@ __all__ = [
     "XiSet",
     "generate_xi",
     "ample_check",
-    "delta_forms",
+    "delta_system",
     "delta_hrep",
     "HalfSpaceSystem",
     "LatticeBox",

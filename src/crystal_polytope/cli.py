@@ -17,8 +17,8 @@ import sys
 
 from .binfinity import _star_of_member, eta, eta_opposite, membership
 from .demazure import btilde_cut, enumerate_demazure, string_points
-from .inequalities import ample_check, ample_forms, delta_forms, delta_hrep, generate_xi
-from .polytope import lattice_points, normalize, system_from_forms
+from .inequalities import ample_check, delta_hrep, delta_system, generate_xi
+from .polytope import lattice_points, normalize
 from .rootdata import (CartanMatrix, ReducedWord, WeightVec, cartan_builtin, is_reduced,
                        num_positive_roots, weyl_dim_oracle)
 from .valuation import (ValuationOrder, builtin_generators, parse_poly, products_closure,
@@ -84,12 +84,12 @@ def _points_payload(args, meta, pts) -> None:
     _emit(args, meta, data, pts)
 
 
-def _form_json(f, r: int) -> dict:
-    return {
-        "const_abs": 0,  # no form the program builds has an absolute constant
-        "const_lambda": list(f.lam_coeffs),
-        "coeffs": [f.coefficient(p) for p in range(1, r + 1)],
-    }
+def _hrep_line(const: int, lam_coeffs, coeffs) -> str:
+    """One inequality as text: the constant, then the weight and coordinate terms."""
+    parts = [str(const)]
+    parts.extend(f"{c}*L{i}" for i, c in enumerate(lam_coeffs, start=1))
+    parts.extend(f"{c}*a{p}" for p, c in enumerate(coeffs, start=1))
+    return " + ".join(parts) + " >= 0"
 
 
 def _require_member(spec, coords) -> ZElement:
@@ -203,18 +203,15 @@ def _dispatch(args) -> int:
     if args.command == "delta-hrep":
         xi = _xi_for(spec, args)
         r = len(word.letters)
-        forms = ample_forms(xi, lam)
-        system = normalize(system_from_forms(forms, r, lam))
-        lines = []
-        for coeffs, const in system.rows:
-            parts = [str(const)]
-            parts.extend(f"0*L{i}" for i in cartan.index_set())
-            parts.extend(f"{c}*a{p + 1}" for p, c in enumerate(coeffs))
-            lines.append(" + ".join(parts) + " >= 0")
+        system = normalize(delta_hrep(xi, lam))
         data = {
-            "forms": [_form_json(f, r) for f in forms],
+            # no form the program builds has an absolute constant
+            "forms": [{"const_abs": 0, "const_lambda": list(f.lam_coeffs),
+                       "coeffs": list(f.row(r))} for f in xi.delta],
             "rows": [[list(coeffs), const] for coeffs, const in system.rows],
-            "hrep_text": lines,
+            # the rows carry the weight in their constants
+            "hrep_text": [_hrep_line(const, (0,) * cartan.rank, coeffs)
+                          for coeffs, const in system.rows],
         }
         _emit(args, meta, data, [list(c) + [k] for c, k in system.rows])
         return 0
@@ -243,7 +240,7 @@ def _dispatch(args) -> int:
 
     if args.command == "ample":
         xi = _xi_for(spec, args)
-        ok = ample_check(xi, lam) if xi.certified else False
+        ok = ample_check(xi, lam)
         data = {"ample": ok, "certified": xi.certified,
                 "stabilized": xi.stabilized, "num_forms": len(xi.forms)}
         _emit(args, meta, data, [[int(ok)]])
@@ -289,14 +286,20 @@ def _theorem_check(args, cartan, spec, word, lam, meta) -> int:
     xi = _xi_for(spec, args)
     record("closure_certified", xi.certified,
            f"{len(xi.forms)} forms, stabilized={xi.stabilized}")
-    ample = xi.certified and ample_check(xi, lam)
-    record("ample", ample, "constants nonnegative at this weight")
-    forms = delta_forms(xi)
+    ample = ample_check(xi, lam)
+    if not xi.certified:
+        detail = "closure not certified"
+    elif ample:
+        detail = "constants nonnegative at this weight"
+    else:
+        f = next(f for f in xi.delta if f.constant_at(lam) < 0)
+        detail = f"{_hrep_line(0, f.lam_coeffs, f.row(r))} (constant {f.constant_at(lam)})"
+    record("ample", ample, detail)
 
     @functools.cache
     def lattice(weight: WeightVec) -> list:
         """One lattice enumeration per weight, shared by hrep_lattice and the levels."""
-        return lattice_points(system_from_forms(forms, r, weight))
+        return lattice_points(delta_system(xi, weight))
 
     if ample:
         pts = lattice(lam)

@@ -18,17 +18,21 @@ ampleness check).
 Certification is computational: the closure must stabilize within the
 round cap, and re-running it with the scan window extended by the rank
 must leave the forms unchanged after restriction to the word positions.
+The closure keeps those restrictions, the delta forms: ampleness reads
+them, and each gives one integer row at a weight.  Past the form cap a
+closure is refused as diverging.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .polytope import HalfSpaceSystem, system_from_forms
+from .polytope import HalfSpaceSystem
 from .rootdata import WeightVec
 from .zcrystal import SequenceSpec
 
 CLOSURE_ROUNDS = 50  # cap on the descent rounds of one closure
+CLOSURE_FORMS = 20_000  # cap on the forms of one closure; past it the closure is refused
 
 
 @dataclass(frozen=True, order=True)
@@ -68,11 +72,10 @@ class AffineForm:
     def constant_at(self, lam: WeightVec) -> int:
         return sum(c * v for c, v in zip(self.lam_coeffs, lam.coords))
 
-    def eval(self, coords, lam: WeightVec) -> int:
-        acc = self.constant_at(lam)
-        for p, c in self.coeffs:
-            acc += c * (coords[p - 1] if p <= len(coords) else 0)
-        return acc
+    def row(self, r: int) -> tuple:
+        """The dense coordinate coefficients on positions 1..r."""
+        d = dict(self.coeffs)
+        return tuple(d.get(p, 0) for p in range(1, r + 1))
 
 
 def var_form(spec: SequenceSpec, k: int) -> AffineForm:
@@ -131,18 +134,24 @@ class XiSet:
     forms: frozenset
     stabilized: bool
     certified: bool
+    delta: tuple  # the nonzero restrictions of the forms to the word positions, sorted
 
 
 def _close(spec: SequenceSpec, window: int):
-    # Only the forms found last round are descended: older forms' descents are in already.
+    # Only last round's forms are descended, only at window positions of their support:
+    # older forms' descents are in already, and a zero coefficient leaves a form as it is.
     forms = set(f for f in seed_forms(spec, window) if not f.is_zero())
     fresh = set(forms)
     for _ in range(CLOSURE_ROUNDS):
-        fresh = {out for psi in fresh for k in range(1, window + 1)
-                 if not (out := shat(spec, psi, k)).is_zero() and out not in forms}
+        fresh = {out for psi in fresh for k, _ in psi.coeffs
+                 if k <= window and not (out := shat(spec, psi, k)).is_zero()
+                 and out not in forms}
         if not fresh:
             return forms, True
         forms |= fresh
+        if len(forms) > CLOSURE_FORMS:
+            raise ValueError(f"the descent closure of word {list(spec.base.letters)} "
+                             f"at window {window} passed {CLOSURE_FORMS} forms")
     return forms, False
 
 
@@ -152,27 +161,30 @@ def generate_xi(spec: SequenceSpec, window: int) -> XiSet:
     Certification re-runs the closure with the window extended by the
     rank; the two closures must restrict to the same form set on the
     base word's positions.  A closure that fails either check is
-    returned uncertified rather than rejected.
+    returned uncertified rather than rejected; one that passes the form
+    cap raises.
     """
     r = len(spec.base.letters)
     if window < r:
         raise ValueError("window must cover the base word")
     forms, stabilized = _close(spec, window)
+    delta = _restricted(forms, r)
     certified = False
     if stabilized:
         bumped, stab2 = _close(spec, window + spec.cartan.rank)
-        if stab2:
-            certified = _restricted(forms, r) == _restricted(bumped, r)
-    return XiSet(spec, window, frozenset(forms), stabilized, certified)
+        certified = stab2 and delta == _restricted(bumped, r)
+    return XiSet(spec, window, frozenset(forms), stabilized, certified, tuple(sorted(delta)))
 
 
 def ample_check(xi: XiSet, lam: WeightVec) -> bool:
-    """Every closure form has nonnegative constant at this weight."""
-    if not xi.certified:
-        raise ValueError("ampleness is only meaningful for a certified closure")
+    """The closure is certified and every form has nonnegative constant at this weight.
+
+    The delta forms decide it: a restriction keeps a form's weight
+    coefficients, and a form restricted to zero has constant 0.
+    """
     if len(lam.coords) != xi.spec.cartan.rank:
         raise ValueError("weight rank mismatch")
-    return all(f.constant_at(lam) >= 0 for f in xi.forms)
+    return xi.certified and all(f.constant_at(lam) >= 0 for f in xi.delta)
 
 
 def _restricted(forms, r: int) -> set:
@@ -180,27 +192,22 @@ def _restricted(forms, r: int) -> set:
     return {g for g in (f.restrict(r) for f in forms) if not g.is_zero()}
 
 
-def delta_forms(xi: XiSet) -> list:
-    """Closure forms restricted to the base word's positions, deduplicated."""
-    return sorted(_restricted(xi.forms, len(xi.spec.base.letters)))
+def delta_system(xi: XiSet, lam: WeightVec) -> HalfSpaceSystem:
+    """The delta forms instantiated at a weight: one integer row per form, in form order."""
+    r = len(xi.spec.base.letters)
+    return HalfSpaceSystem.make(r, [(f.row(r), f.constant_at(lam)) for f in xi.delta])
 
 
-def ample_forms(xi: XiSet, lam: WeightVec) -> list:
-    """The delta forms, once the weight passes the ampleness check.
+def delta_hrep(xi: XiSet, lam: WeightVec) -> HalfSpaceSystem:
+    """The delta system at a weight, once the closure is certified and the weight ample.
 
-    Raises when the weight fails the ampleness check; enumeration
-    through the crystal sweep is the fallback for such weights.
+    Raises otherwise; enumeration through the crystal sweep is the
+    fallback for such weights.
     """
+    if not xi.certified:
+        raise ValueError("ampleness is only meaningful for a certified closure")
     if not ample_check(xi, lam):
         raise ValueError(
             "weight fails the ampleness check; fall back to direct crystal enumeration"
         )
-    return delta_forms(xi)
-
-
-def delta_hrep(xi: XiSet, lam: WeightVec) -> HalfSpaceSystem:
-    """Concrete half-space rows (coeffs, const) for the weight-instantiated system.
-
-    Raises as ``ample_forms`` does on a weight that fails ampleness.
-    """
-    return system_from_forms(ample_forms(xi, lam), len(xi.spec.base.letters), lam)
+    return delta_system(xi, lam)

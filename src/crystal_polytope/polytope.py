@@ -7,15 +7,14 @@ that bounds each coordinate from the rows' partial sums and the most
 the remaining coordinates can add (so no cell is tested on its own), and
 redundancy removal is Fourier-Motzkin elimination in integers on the
 strict negation of a row (safe for lattice point sets since it only
-drops rows implied over the rationals).
+drops rows implied over the rationals).  Only integer rows come in: the
+inequality layer instantiates its forms at a weight first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-
-from .rootdata import WeightVec
 
 BOX_ROUNDS = 100  # cap on the interval propagation rounds of bounding_box
 
@@ -156,15 +155,6 @@ def lattice_points(system: HalfSpaceSystem) -> list:
 
     walk(0, (), [const for _, const in rows])
     return out
-
-
-def system_from_forms(forms, r: int, lam: WeightVec) -> HalfSpaceSystem:
-    """Instantiate restricted affine forms at a concrete weight."""
-    rows = []
-    for f in forms:
-        coeffs = tuple(f.coefficient(p) for p in range(1, r + 1))
-        rows.append((coeffs, f.constant_at(lam)))
-    return HalfSpaceSystem.make(r, rows)
 
 
 def _row_reduce(coeffs: tuple, const: int):

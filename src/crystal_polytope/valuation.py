@@ -5,9 +5,10 @@ terms.  The two valuation flavors are lexicographic highest-term maps:
 one ranks variables first-to-last, the other last-to-first; both send a
 polynomial to minus the exponent vector of its maximal monomial.  The
 span machinery builds the product of the factors exp(t_k F) = I + t_k F
-of square-zero generators by column operations, extracts minors to
-model weight-module sections, and reads off achieved values by exact
-Gaussian elimination against the chosen monomial order.
+of square-zero generators by column operations, expands its minors on
+the first columns column by column to model weight-module sections, and
+reads off achieved values by exact Gaussian elimination against the
+chosen monomial order.
 """
 
 from __future__ import annotations
@@ -241,31 +242,26 @@ def unipotent_product(word: ReducedWord, gens: dict) -> PolyMatrix:
     return PolyMatrix(tuple(zip(*cols)))
 
 
-def _det(entries) -> MultiPoly:
-    d = len(entries)
-    nvars = entries[0][0].nvars
-    acc = MultiPoly.zero(nvars)
-    for perm in itertools.permutations(range(d)):
-        sign = 1
-        for x in range(d):
-            for y in range(x + 1, d):
-                if perm[x] > perm[y]:
-                    sign = -sign
-        term = MultiPoly.constant(nvars, sign)
-        for row, col in enumerate(perm):
-            term = term.mul(entries[row][col])
-        acc = acc.add(term)
-    return acc
-
-
 def column_minors(matrix: PolyMatrix, d: int) -> list:
-    """All d-row minors of the first d columns, rows in index order."""
-    n = matrix.size
-    out = []
-    for rows in itertools.combinations(range(1, n + 1), d):
-        block = [[matrix.at(r, c) for c in range(1, d + 1)] for r in rows]
-        out.append(_det(block))
-    return out
+    """All d-row minors of the first d columns, rows in index order.
+
+    Built column by column: the minor on rows R and the first c columns
+    expands along column c over the minors on R less one row and the
+    first c - 1 columns, which the previous column left behind.
+    """
+    nvars = matrix.at(1, 1).nvars
+    minors = {(): MultiPoly.constant(nvars, 1)}
+    for c in range(1, d + 1):
+        grown = {}
+        for rows in itertools.combinations(range(1, matrix.size + 1), c):
+            acc = MultiPoly.zero(nvars)
+            for x, row in enumerate(rows):
+                if not (entry := matrix.at(row, c)).is_zero():
+                    term = entry.mul(minors[rows[:x] + rows[x + 1:]])
+                    acc = acc.sub(term) if (c - 1 - x) % 2 else acc.add(term)
+            grown[rows] = acc
+        minors = grown
+    return list(minors.values())
 
 
 def section_span(matrix: PolyMatrix, lam: WeightVec) -> list:

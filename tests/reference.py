@@ -2,7 +2,9 @@
 
 Each one is written independently of the library routine it checks:
 the derivative orders against ``valuation.value``, the full exponential
-series product against ``valuation.unipotent_product``, weight
+series product against ``valuation.unipotent_product``, Leibniz sums
+over permutations against ``valuation.column_minors`` and its column
+expansion, weight
 reflections for the brute-force reduced-word oracle, the two-template
 descent (a form toward the next and one toward the previous occurrence
 of a letter) against ``inequalities.shat`` and its single template,
@@ -98,6 +100,22 @@ def exp_series_product(word, gens: dict) -> PolyMatrix:
     for k in range(r, 0, -1):
         out = _matmul(out, _exp_nilpotent(gens[word[k]], k, r))
     return PolyMatrix(tuple(tuple(row) for row in out))
+
+
+def leibniz_minors(matrix: PolyMatrix, d: int) -> list:
+    """Every d-row minor of the first d columns as a sum over permutations, rows in order."""
+    nvars = matrix.at(1, 1).nvars
+    out = []
+    for rows in itertools.combinations(range(1, matrix.size + 1), d):
+        acc = MultiPoly.zero(nvars)
+        for perm in itertools.permutations(range(d)):
+            inversions = sum(perm[x] > perm[y] for x in range(d) for y in range(x + 1, d))
+            term = MultiPoly.constant(nvars, (-1) ** inversions)
+            for row, col in zip(rows, perm):
+                term = term.mul(matrix.at(row, col + 1))
+            acc = acc.add(term)
+        out.append(acc)
+    return out
 
 
 def reflect(cartan: CartanMatrix, i: int, lam: WeightVec) -> WeightVec:

@@ -12,9 +12,8 @@ from fractions import Fraction
 
 from crystal_polytope.binfinity import eta, eta_opposite, membership
 from crystal_polytope.demazure import btilde_cut, enumerate_demazure, string_points
-from crystal_polytope.inequalities import ample_check, delta_forms, delta_hrep, generate_xi
-from crystal_polytope.polytope import (HalfSpaceSystem, bounding_box, lattice_points,
-                                       system_from_forms, _implied_by)
+from crystal_polytope.inequalities import ample_check, delta_hrep, delta_system, generate_xi
+from crystal_polytope.polytope import HalfSpaceSystem, bounding_box, lattice_points, _implied_by
 from crystal_polytope.rootdata import (ReducedWord, WeightVec, cartan_builtin,
                                        fundamental, is_reduced, num_positive_roots,
                                        rho, root_to_weight, simple_root, weyl_dim_oracle)
@@ -224,11 +223,11 @@ def test_criterion_06_semigroup_levels(capsys):
     start = time.monotonic()
     ok = True
     for cartan, word, spec, r in ((A2, W_A2, SPEC_A2, 3), (C2, W_C2, SPEC_C2, 4)):
-        forms = delta_forms(generate_xi(spec, r))
+        xi = generate_xi(spec, r)
         for k in range(4):
             lam = RHO2.scale(k)
             level = btilde_cut(cartan, word, lam).coords
-            if sorted(level) != lattice_points(system_from_forms(forms, r, lam)):
+            if sorted(level) != lattice_points(delta_system(xi, lam)):
                 ok = False
     elapsed = time.monotonic() - start
     report(capsys, 6, ok, elapsed,

@@ -1,5 +1,6 @@
 """Command-line interface: golden outputs, formats, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -457,7 +458,7 @@ THEOREM_CHECK_STDOUT = {
         '"name": "route_agreement", "pass": true}, {"detail": "64 points vs oracle 64", '
         '"name": "dimension", "pass": true}, {"detail": "28 forms, stabilized=True", '
         '"name": "closure_certified", "pass": false}, '
-        '{"detail": "constants nonnegative at this weight", "name": "ample", '
+        '{"detail": "closure not certified", "name": "ample", '
         '"pass": false}, {"detail": "k=0:ok,k=1:ok,k=2:ok", "name": "semigroup_levels", '
         '"pass": true}, {"detail": "64 star-chart images vs 64 string points", '
         '"name": "eta_string_bijection", "pass": true}, '
@@ -521,30 +522,31 @@ def test_theorem_check_enumerates_each_system_once(capsys, monkeypatch):
     assert len(systems) == len(set(systems)) == 3, systems
 
 
-def test_delta_hrep_builds_the_forms_once(capsys, monkeypatch):
+def test_delta_hrep_restricts_the_closure_twice(capsys, monkeypatch):
+    # once per closure: the certification compares the window-4 restriction,
+    # kept as the delta forms, with the window-6 one
     from crystal_polytope import inequalities
 
     calls = []
-    original = inequalities.delta_forms
+    original = inequalities._restricted
 
-    def counting(xi):
-        calls.append(xi)
-        return original(xi)
+    def counting(forms, r):
+        calls.append(r)
+        return original(forms, r)
 
-    monkeypatch.setattr(cli, "delta_forms", counting)
-    monkeypatch.setattr(inequalities, "delta_forms", counting)
+    monkeypatch.setattr(inequalities, "_restricted", counting)
     code, _, _ = run(capsys, ["delta-hrep", "--type", "C", "--rank", "2",
                               "--word", "1,2,1,2", "--lambda", "1,1"])
     assert code == 0
-    assert len(calls) == 1, calls
+    assert calls == [4, 4], calls
 
 
 def _with_extra_row(forms):
-    return forms + [AffineForm.make({1: -1}, (0, 0))]  # -a_1 >= 0
+    return forms + (AffineForm.make({1: -1}, (0, 0)),)  # -a_1 >= 0
 
 
 def _unbounded(forms):
-    return [AffineForm.make({1: -1}, (0, 0, 0))]  # leaves a_2, a_3, a_4 free
+    return (AffineForm.make({1: -1}, (0, 0, 0)),)  # leaves a_2, a_3, a_4 free
 
 
 @pytest.mark.parametrize("family,rank,word,lam,forms,detail", [
@@ -556,8 +558,13 @@ def _unbounded(forms):
 ])
 def test_theorem_check_levels_fail_on_wrong_forms(capsys, monkeypatch, family, rank, word,
                                                   lam, forms, detail):
-    original = cli.delta_forms
-    monkeypatch.setattr(cli, "delta_forms", lambda xi: forms(original(xi)))
+    original = cli.generate_xi
+
+    def injected(spec, window):
+        xi = original(spec, window)
+        return dataclasses.replace(xi, delta=forms(xi.delta))
+
+    monkeypatch.setattr(cli, "generate_xi", injected)
     code, out, _ = run(capsys, ["theorem-check", "--type", family, "--rank", rank,
                                 "--word", word, "--lambda", lam])
     assert code == 2
@@ -565,6 +572,40 @@ def test_theorem_check_levels_fail_on_wrong_forms(capsys, monkeypatch, family, r
     assert "semigroup_levels" in doc["data"]["failed"]
     levels = next(c for c in doc["data"]["checks"] if c["name"] == "semigroup_levels")
     assert levels["detail"] == detail
+
+
+@pytest.mark.parametrize("word,extra,detail", [
+    ("1,2,1,3,2,1", [], "closure not certified"),
+    # certified at window 8 but not ample: the weight-only form -L2 >= 0 is
+    # the first delta form with a negative constant at rho
+    ("2,1,2,3,2,1", ["--window", "8"],
+     "0 + 0*L1 + -1*L2 + 0*L3 + 0*a1 + 0*a2 + 0*a3 + 0*a4 + 0*a5 + 0*a6 >= 0 (constant -1)"),
+])
+def test_failing_ample_row_names_its_cause(capsys, word, extra, detail):
+    code, out, _ = run(capsys, ["theorem-check", "--type", "A", "--rank", "3",
+                                "--word", word, "--lambda", "1,1,1", "--k-max", "0", *extra])
+    assert code == 2
+    ample = next(c for c in json.loads(out)["data"]["checks"] if c["name"] == "ample")
+    assert ample == {"name": "ample", "pass": False, "detail": detail}
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["ample", "--type", "A", "--rank", "3", "--word", "1,2,3,2,1,2", "--lambda", "1,1,1"],
+     "error: the descent closure of word [1, 2, 3, 2, 1, 2] at window 9 passed 20000 forms"),
+    (["ample", "--type", "D", "--rank", "4", "--word", "4,2,1,2,3,4,2,4,1,2,3,2",
+      "--lambda", "1,1,1,1"],
+     "error: the descent closure of word [4, 2, 1, 2, 3, 4, 2, 4, 1, 2, 3, 2] at window 16 "
+     "passed 20000 forms"),
+    (["theorem-check", "--type", "A", "--rank", "3", "--word", "1,2,3,2,1,2",
+      "--lambda", "1,1,1"],
+     "error: the descent closure of word [1, 2, 3, 2, 1, 2] at window 9 passed 20000 forms"),
+])
+def test_diverging_closure_is_refused(capsys, argv, error):
+    # each closes at the word length; the certification closure, rank
+    # positions wider, diverges and passes the form cap within seconds
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [error]
 
 
 def test_theorem_check_exit_two_on_mismatch(capsys, monkeypatch):

@@ -1,12 +1,14 @@
 """Inequality generation: seed forms, the descent closure, ampleness."""
 
+import dataclasses
+
 import pytest
 
 import reference
 from crystal_polytope import inequalities
 from crystal_polytope.demazure import enumerate_demazure
 from crystal_polytope.inequalities import (CLOSURE_ROUNDS, AffineForm, _close, ample_check,
-                                           delta_forms, delta_hrep, generate_xi,
+                                           delta_hrep, delta_system, generate_xi,
                                            lambda_form, minus_form, seed_forms, shat,
                                            var_form)
 from crystal_polytope.polytope import lattice_points
@@ -27,7 +29,7 @@ def form(coeffs, lam=(0, 0)):
 def test_affine_form_algebra():
     f = form({1: 2, 3: -1}, (1, 0))
     assert f.coefficient(1) == 2 and f.coefficient(2) == 0 and f.coefficient(3) == -1
-    assert f.eval((1, 1, 1), WeightVec((2, 0))) == 2 + 2 - 1
+    assert f.row(3) == (2, 0, -1) and f.row(2) == (2, 0) and f.row(4) == (2, 0, -1, 0)
     assert f.constant_at(WeightVec((3, 1))) == 3
     g = f.minus(form({1: 1}), 2)
     assert g.coefficient(1) == 0
@@ -68,7 +70,7 @@ def test_descent_idempotence_when_slot_vanishes():
 def test_closure_a2_is_small_and_certified():
     xi = generate_xi(SPEC_A2, 3)
     assert xi.stabilized and xi.certified
-    restricted = delta_forms(xi)
+    restricted = xi.delta
     expected = {
         form({1: 1}),
         form({1: -1}, (1, 0)),
@@ -84,7 +86,7 @@ def test_closure_a2_is_small_and_certified():
 def test_closure_c2_restricted_forms():
     xi = generate_xi(SPEC_C2, 4)
     assert xi.certified
-    restricted = set(delta_forms(xi))
+    restricted = set(xi.delta)
     assert len(restricted) == 12
     assert form({2: 2, 3: -1}) in restricted
     assert form({3: 1, 4: -2}) in restricted
@@ -93,8 +95,8 @@ def test_closure_c2_restricted_forms():
 
 
 def test_closure_restriction_is_window_insensitive():
-    base = set(delta_forms(generate_xi(SPEC_C2, 4)))
-    wider = set(delta_forms(generate_xi(SPEC_C2, 7)))
+    base = set(generate_xi(SPEC_C2, 4).delta)
+    wider = set(generate_xi(SPEC_C2, 7).delta)
     assert base == wider
 
 
@@ -121,6 +123,51 @@ def test_closure_descends_only_fresh_forms_to_the_same_result(family, rank, lett
     spec = SequenceSpec(cartan_builtin(family, rank), ReducedWord(letters))
     for window in (len(letters), len(letters) + rank):
         assert _close(spec, window) == naive_close(spec, window)
+
+
+@pytest.mark.parametrize("family,rank,letters", CHARTS)
+def test_closure_descends_only_at_nonzero_coefficients(monkeypatch, family, rank, letters):
+    spec = SequenceSpec(cartan_builtin(family, rank), ReducedWord(letters))
+    seen = []
+
+    def checked(spec, psi, k):
+        seen.append(psi.coefficient(k))
+        return shat(spec, psi, k)
+
+    monkeypatch.setattr(inequalities, "shat", checked)
+    generate_xi(spec, len(letters))
+    assert seen and 0 not in seen
+
+
+@pytest.mark.parametrize("family,rank,letters", CHARTS)
+def test_delta_is_the_sorted_restriction_of_the_closure(family, rank, letters):
+    spec = SequenceSpec(cartan_builtin(family, rank), ReducedWord(letters))
+    r = len(letters)
+    for window in (r, r + rank):
+        xi = generate_xi(spec, window)
+        restricted = {f.restrict(r) for f in xi.forms} - {AffineForm.make({}, (0,) * rank)}
+        assert xi.delta == tuple(sorted(restricted))
+
+
+@pytest.mark.parametrize("family,rank,letters", CHARTS)
+def test_ample_check_on_delta_matches_every_closure_form(family, rank, letters):
+    # a restriction keeps the weight coefficients, and a form restricted to zero
+    # has constant 0, so the delta forms give the verdict of the whole closure
+    spec = SequenceSpec(cartan_builtin(family, rank), ReducedWord(letters))
+    for window in (len(letters), len(letters) + 2):
+        xi = generate_xi(spec, window)
+        for lam in ((0,) * rank, (1,) * rank, (2,) + (0,) * (rank - 1),
+                    (0,) * (rank - 1) + (3,)):
+            weight = WeightVec(lam)
+            assert ample_check(xi, weight) == (
+                xi.certified and all(f.constant_at(weight) >= 0 for f in xi.forms))
+
+
+def test_closure_past_the_form_cap_is_refused(monkeypatch):
+    assert inequalities.CLOSURE_FORMS == 20_000
+    monkeypatch.setattr(inequalities, "CLOSURE_FORMS", 10)
+    with pytest.raises(ValueError, match=r"word \[1, 2, 1, 2\] at window 4 passed 10 forms"):
+        generate_xi(SPEC_C2, 4)
 
 
 @pytest.mark.parametrize("family,rank,letters", CHARTS)
@@ -166,21 +213,32 @@ def test_ample_check_golden():
     assert ample_check(xi_c, RHO2)
 
 
-def test_ample_check_requires_certified_closure():
+def test_ample_check_is_false_on_an_uncertified_closure():
     xi = generate_xi(SPEC_A2, 3)
-    broken = type(xi)(spec=xi.spec, window=xi.window, forms=xi.forms,
-                      stabilized=True, certified=False)
-    with pytest.raises(ValueError):
-        ample_check(broken, RHO2)
+    broken = dataclasses.replace(xi, certified=False)
+    assert ample_check(xi, RHO2) and not ample_check(broken, RHO2)
+    with pytest.raises(ValueError, match="certified closure"):
+        delta_hrep(broken, RHO2)
 
 
 def test_delta_hrep_rejects_non_ample_data():
     xi = generate_xi(SPEC_A2, 3)
-    poisoned = frozenset(set(xi.forms) | {form({1: 1}, (-1, 0))})  # constant -1 at rho
-    broken = type(xi)(spec=xi.spec, window=xi.window, forms=poisoned,
-                      stabilized=True, certified=True)
+    poisoned = tuple(sorted(set(xi.delta) | {form({1: 1}, (-1, 0))}))  # constant -1 at rho
+    broken = dataclasses.replace(xi, delta=poisoned)
+    assert not ample_check(broken, RHO2)
     with pytest.raises(ValueError, match="enumeration"):
         delta_hrep(broken, RHO2)
+
+
+def test_delta_system_instantiates_each_delta_form_at_the_weight():
+    xi = generate_xi(SPEC_C2, 4)
+    for lam in (RHO2, WeightVec((3, 1))):
+        system = delta_system(xi, lam)
+        assert system.dim == 4
+        assert system.rows == tuple(
+            (tuple(f.coefficient(p) for p in range(1, 5)), f.constant_at(lam))
+            for f in xi.delta)
+    assert delta_hrep(xi, RHO2) == delta_system(xi, RHO2)
 
 
 def test_every_generated_form_is_nonnegative_on_slice_points():
@@ -188,9 +246,10 @@ def test_every_generated_form_is_nonnegative_on_slice_points():
                                   (SPEC_C2, C2, ReducedWord((1, 2, 1, 2)), 4)):
         xi = generate_xi(spec, r)
         points = enumerate_demazure(cartan, word, RHO2).coords
-        for psi in delta_forms(xi):
+        for psi in xi.delta:
             for point in points:
-                assert psi.eval(point, RHO2) >= 0, (psi, point)
+                value = psi.constant_at(RHO2) + sum(c * point[p - 1] for p, c in psi.coeffs)
+                assert value >= 0, (psi, point)
 
 
 def test_hrep_lattice_points_match_slice():

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from crystal_polytope import polytope
 from crystal_polytope.demazure import enumerate_demazure
-from crystal_polytope.inequalities import delta_forms, delta_hrep, generate_xi
+from crystal_polytope.inequalities import delta_hrep, delta_system, generate_xi
 from crystal_polytope.polytope import (HalfSpaceSystem, bounding_box, lattice_points,
-                                       normalize, system_from_forms, _implied_by)
+                                       normalize, _implied_by)
 from crystal_polytope.rootdata import ReducedWord, WeightVec, cartan_builtin, rho
 from crystal_polytope.zcrystal import SequenceSpec
 from reference import brute_lattice_points, implied_by_projection
@@ -110,13 +110,13 @@ def test_lattice_points_match_the_box_filter(system):
     assert lattice_points(system) == brute_lattice_points(system)
 
 
-def test_system_from_forms_matches_direct_eval():
+def test_delta_system_matches_direct_eval():
     xi = generate_xi(SPEC_A2, 3)
-    forms = delta_forms(xi)
-    system = system_from_forms(forms, 3, RHO2)
+    system = delta_system(xi, RHO2)
     # the rho polytope sits in [0, 1] x [0, 2] x [0, 1]
     direct = [p for p in itertools.product(range(-1, 4), repeat=3)
-              if all(f.eval(p, RHO2) >= 0 for f in forms)]
+              if all(f.constant_at(RHO2) + sum(c * p[k - 1] for k, c in f.coeffs) >= 0
+                     for f in xi.delta)]
     assert len(direct) == 8
     assert brute_lattice_points(system) == direct
 

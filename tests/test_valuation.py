@@ -7,11 +7,11 @@ import pytest
 
 from crystal_polytope.demazure import enumerate_demazure
 from crystal_polytope.rootdata import ReducedWord, WeightVec, cartan_builtin, fundamental, rho
-from crystal_polytope.valuation import (MultiPoly, ValuationOrder, builtin_generators,
-                                        column_minors, parse_poly, products_closure,
-                                        restrict_span, section_span, unipotent_product,
-                                        value, value_set_of_span)
-from reference import chevalley_value, exp_series_product
+from crystal_polytope.valuation import (MultiPoly, PolyMatrix, ValuationOrder,
+                                        builtin_generators, column_minors, parse_poly,
+                                        products_closure, restrict_span, section_span,
+                                        unipotent_product, value, value_set_of_span)
+from reference import chevalley_value, exp_series_product, leibniz_minors
 
 A2 = cartan_builtin("A", 2)
 C2 = cartan_builtin("C", 2)
@@ -144,6 +144,29 @@ def test_column_minors_of_the_first_column():
     minors = column_minors(mat, 1)
     assert set(minors) == {MultiPoly.constant(3, 1),
                            parse_poly("t1 + t3", 3), parse_poly("t1*t2", 3)}
+
+
+@pytest.mark.parametrize("family,rank,letters", [
+    ("A", 2, (1, 2, 1)), ("C", 2, (1, 2, 1, 2)), ("A", 3, (1, 2, 1, 3, 2, 1)),
+    ("A", 4, (1, 2, 1, 3, 2, 1, 4, 3, 2, 1)), ("A", 4, (4, 3, 4, 2, 3, 1)),
+])
+def test_column_minors_equal_the_permutation_sums(family, rank, letters):
+    mat = unipotent_product(ReducedWord(letters), builtin_generators(cartan_builtin(family, rank)))
+    for d in range(1, mat.size + 1):
+        assert column_minors(mat, d) == leibniz_minors(mat, d), d
+
+
+def test_column_minors_of_dense_matrices_equal_the_permutation_sums():
+    # unipotent products are mostly zero; dense entries exercise every sign
+    rng = random.Random(7)
+    for size in (2, 3, 4):
+        for _ in range(5):
+            mat = PolyMatrix(tuple(
+                tuple(parse_poly(f"{rng.randint(-3, 3)}*t1 + {rng.randint(-3, 3)}*t2 + "
+                                 f"{rng.randint(-3, 3)}", 2) for _ in range(size))
+                for _ in range(size)))
+            for d in range(1, size + 1):
+                assert column_minors(mat, d) == leibniz_minors(mat, d), (mat, d)
 
 
 def test_section_span_value_sets_match_crystal_slices():
