@@ -9,7 +9,9 @@ The descent operator at a position rewrites a form against one
 template, the form that joins two consecutive occurrences of the
 position's letter: the pair starting at the position when the
 coefficient there is positive, the pair ending at it when negative
-(Nakashima-Zelevinsky, Adv. Math. 131, 1997).
+(Nakashima-Zelevinsky, Adv. Math. 131, 1997).  A closure builds all its
+templates once, in one pass over the letter table that remembers the
+last position of each letter.
 Closing the seed forms under all descent operators yields the
 inequality system whose nonnegativity locus is the twisted polytope,
 provided every constant stays nonnegative at the chosen weight (the
@@ -78,51 +80,57 @@ class AffineForm:
         return tuple(d.get(p, 0) for p in range(1, r + 1))
 
 
-def var_form(spec: SequenceSpec, k: int) -> AffineForm:
-    return AffineForm.make({k: 1}, (0,) * spec.cartan.rank)
+def descent_templates(spec: SequenceSpec, window: int) -> tuple[list, list]:
+    """The descent table of the window and the seed forms, from one pass over the letters.
 
-
-def lambda_form(spec: SequenceSpec, i: int) -> AffineForm:
-    """The weight cap of letter i: the template at its first slot, negated."""
-    return AffineForm.make({}, (0,) * spec.cartan.rank).minus(
-        minus_form(spec, spec.first_position_of(i)))
-
-
-def minus_form(spec: SequenceSpec, k: int) -> AffineForm:
-    """Template joining the previous occurrence km of k's letter to k.
-
-    a_km + a_k plus the pairing-weighted entries strictly between them;
-    with no previous occurrence (km = 0) the pair starts at the weight,
-    which enters with coefficient -1 on k's letter.
+    The template ending at position k joins the previous occurrence km of
+    k's letter to k: a_km + a_k plus the pairing-weighted entries strictly
+    between them.  With no previous occurrence the pair starts at the
+    weight, which enters with coefficient -1 on k's letter; negated, that
+    template is the letter's weight seed.  The other seeds are the
+    window's coordinate forms.  The template starting at k is the one
+    ending at the next occurrence of k's letter.  Every tail period holds
+    each letter once, so a pair starting in the window ends at most rank
+    positions past it (and every letter occurs by then): the pass reads
+    positions 1..window + rank.  Entry k - 1 of the table is (the
+    template starting at k, the template ending at k).
     """
-    i = spec.letter(k)
-    km = spec.prev_same_letter(k)
-    coeffs = {j: spec.cartan.pairing(i, spec.letter(j)) for j in range(km + 1, k)}
-    coeffs[k] = 1
-    if km > 0:
-        coeffs[km] = 1
-    lam = tuple(-1 if t == i and km == 0 else 0 for t in spec.cartan.index_set())
-    return AffineForm.make(coeffs, lam)
+    cartan = spec.cartan
+    zero = (0,) * cartan.rank
+    m = window + cartan.rank
+    letters = spec.letter_table(m)
+    last = {}  # letter -> the last position seen carrying it
+    starting, ending = [None] * m, []
+    seeds = [AffineForm.make({k: 1}, zero) for k in range(1, window + 1)]
+    for k in range(1, m + 1):
+        i = letters[k - 1]
+        km = last.get(i, 0)
+        coeffs = {j: cartan.pairing(i, letters[j - 1]) for j in range(km + 1, k)}
+        coeffs[k] = 1
+        if km:
+            coeffs[km] = 1
+            template = AffineForm.make(coeffs, zero)
+            starting[km - 1] = template
+        else:
+            template = AffineForm.make(coeffs, tuple(-(t == i) for t in cartan.index_set()))
+            seeds.append(AffineForm.make({}, zero).minus(template))
+        ending.append(template)
+        last[i] = k
+    return list(zip(starting[:window], ending[:window])), seeds
 
 
-def shat(spec: SequenceSpec, psi: AffineForm, k: int) -> AffineForm:
+def shat(table: list, psi: AffineForm, k: int) -> AffineForm:
     """Descent of a form at position k; identity when the coefficient vanishes.
 
     A positive coefficient descends against the template of the pair
-    starting at k, a negative one against the pair ending at k.
+    starting at k, a negative one against the pair ending at k, both read
+    from a table of ``descent_templates``.
     """
     ck = psi.coefficient(k)
     if ck == 0:
         return psi
-    template = minus_form(spec, spec.next_same_letter(k) if ck > 0 else k)
-    return psi.minus(template, ck)
-
-
-def seed_forms(spec: SequenceSpec, window: int) -> list:
-    """Coordinate forms for the window plus one weight form per letter."""
-    out = [var_form(spec, k) for k in range(1, window + 1)]
-    out.extend(lambda_form(spec, i) for i in spec.cartan.index_set())
-    return out
+    starting, ending = table[k - 1]
+    return psi.minus(starting if ck > 0 else ending, ck)
 
 
 @dataclass(frozen=True)
@@ -140,11 +148,12 @@ class XiSet:
 def _close(spec: SequenceSpec, window: int):
     # Only last round's forms are descended, only at window positions of their support:
     # older forms' descents are in already, and a zero coefficient leaves a form as it is.
-    forms = set(f for f in seed_forms(spec, window) if not f.is_zero())
+    table, seeds = descent_templates(spec, window)
+    forms = set(seeds)
     fresh = set(forms)
     for _ in range(CLOSURE_ROUNDS):
         fresh = {out for psi in fresh for k, _ in psi.coeffs
-                 if k <= window and not (out := shat(spec, psi, k)).is_zero()
+                 if k <= window and not (out := shat(table, psi, k)).is_zero()
                  and out not in forms}
         if not fresh:
             return forms, True

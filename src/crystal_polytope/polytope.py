@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from math import gcd
 
 BOX_ROUNDS = 100  # cap on the interval propagation rounds of bounding_box
+IMPLIED_ROWS = 1_000_000  # cap on the rows one Fourier-Motzkin step of _implied_by builds
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,8 @@ def normalize(system: HalfSpaceSystem) -> HalfSpaceSystem:
 
     Redundancy is decided exactly: a row is dropped when the remaining
     rows imply it over the rationals (Fourier-Motzkin in integers on its
-    strict negation), so the integer point set never changes.
+    strict negation), so the integer point set never changes.  Raises
+    when an elimination step would build more than ``IMPLIED_ROWS`` rows.
     """
     seen = []
     for coeffs, const in system.rows:
@@ -198,7 +200,9 @@ def _implied_by(rows, row, dim: int) -> bool:
     the rows are reduced to primitive form and deduplicated, strict flag
     included, which leaves the solution set as it is.  The system is
     infeasible when some final row reads const < 0, or const == 0 and
-    strict.
+    strict.  Before a step builds its rows, their count (the rows free of
+    the variable plus one per positive-negative pair) is checked against
+    ``IMPLIED_ROWS``; past it the step raises instead of exhausting memory.
     """
     coeffs, const = row
     work = [(tuple(c), k, False) for c, k in rows]
@@ -207,6 +211,10 @@ def _implied_by(rows, row, dim: int) -> bool:
         pos = [r for r in work if r[0][v] > 0]
         neg = [r for r in work if r[0][v] < 0]
         combined = [r for r in work if r[0][v] == 0]
+        count = len(combined) + len(pos) * len(neg)
+        if count > IMPLIED_ROWS:
+            raise ValueError(f"eliminating a{v + 1} from {len(work)} rows would build {count} "
+                             f"rows, past the cap of {IMPLIED_ROWS}")
         for pv, pc, ps in pos:
             for nv, nc, ns in neg:
                 scale_p = -nv[v]

@@ -12,12 +12,14 @@ included).  The raising operator subtracts 1 at the largest position
 attaining the maximum (only when the maximum is positive); the lowering
 operator adds 1 at the smallest attaining position.
 
-Every statistic and every operator rests on one kernel scan: a backward
-pass over the support, reading the spec's letter table and one row of
-the Cartan matrix, gives the sigmas of letter i and minus the i-th
-weight coordinate, so eps and phi share it.  A run at one letter (f_i or
-e_i applied up to a count) costs one scan too: sigma is linear in x, so
-a step at position q moves sigma_q by 1, every earlier sigma of the same
+The spec answers letters only, each from one shared table; the kernel
+and the inequality layer walk that table themselves.  Every statistic
+and every operator rests on one kernel scan: a backward pass over the
+support, reading the spec's letter table and one row of the Cartan
+matrix, gives the sigmas of letter i and minus the i-th weight
+coordinate, so eps and phi share it.  A run at one letter (f_i or e_i
+applied up to a count) costs one scan too: sigma is linear in x, so a
+step at position q moves sigma_q by 1, every earlier sigma of the same
 letter by 2 and no later one, and the run updates the scanned values in
 place.  A single lowering or raising step is a run of length one.
 
@@ -92,8 +94,8 @@ class SequenceSpec:
     2 (with a single letter no sequence can avoid immediate repeats).
 
     The letters are built once: a table holds the base word and whole
-    periods of the tail, and grows by periods when a longer support asks
-    for it.
+    periods of the tail, and grows by periods when a longer support or a
+    later position asks for it.  Every letter lookup reads that table.
     """
 
     cartan: CartanMatrix
@@ -127,34 +129,10 @@ class SequenceSpec:
         return table
 
     def letter(self, k: int) -> int:
-        """Letter at position k >= 1."""
+        """Letter at position k >= 1, read from the table."""
         if k < 1:
             raise ValueError("positions are 1-based")
-        if k <= len(self._table):
-            return self._table[k - 1]
-        return self._period[(k - len(self.base.letters) - 1) % self.cartan.rank]
-
-    def next_same_letter(self, k: int) -> int:
-        """Smallest position above k carrying the same letter."""
-        target = self.letter(k)
-        j = k + 1
-        while self.letter(j) != target:
-            j += 1
-        return j
-
-    def prev_same_letter(self, k: int) -> int:
-        """Largest position below k carrying the same letter, or 0."""
-        target = self.letter(k)
-        for j in range(k - 1, 0, -1):
-            if self.letter(j) == target:
-                return j
-        return 0
-
-    def first_position_of(self, i: int) -> int:
-        k = 1
-        while self.letter(k) != i:
-            k += 1
-        return k
+        return self.letter_table(k)[k - 1]
 
 
 def _scan(spec: SequenceSpec, x: ZElement, i: int) -> tuple[list[int], list[int], int]:

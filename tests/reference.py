@@ -7,7 +7,8 @@ over permutations against ``valuation.column_minors`` and its column
 expansion, weight
 reflections for the brute-force reduced-word oracle, the two-template
 descent (a form toward the next and one toward the previous occurrence
-of a letter) against ``inequalities.shat`` and its single template,
+of a letter, each found by its own walk over the letters) against
+``inequalities.shat`` and the table of ``inequalities.descent_templates``,
 implication by projecting onto the value of the row against
 ``polytope._implied_by`` and its strict negation, a filter of every
 cell of the bounding box against ``polytope.lattice_points`` and its
@@ -147,7 +148,9 @@ def all_reduced_words_longest(cartan: CartanMatrix) -> list:
 
 def lambda_form(spec: SequenceSpec, i: int) -> AffineForm:
     """Weight entry i minus the pairing contributions up to (and at) letter i's first slot."""
-    first = spec.first_position_of(i)
+    first = 1
+    while spec.letter(first) != i:
+        first += 1
     coeffs = {first: -1}
     for j in range(1, first):
         coeffs[j] = -spec.cartan.pairing(i, spec.letter(j))
@@ -158,7 +161,9 @@ def lambda_form(spec: SequenceSpec, i: int) -> AffineForm:
 def plus_form(spec: SequenceSpec, k: int) -> AffineForm:
     """Template toward the next occurrence of the letter at position k."""
     i = spec.letter(k)
-    kp = spec.next_same_letter(k)
+    kp = k + 1
+    while spec.letter(kp) != i:
+        kp += 1
     coeffs = {k: 1, kp: 1}
     for j in range(k + 1, kp):
         coeffs[j] = spec.cartan.pairing(i, spec.letter(j))
@@ -168,7 +173,9 @@ def plus_form(spec: SequenceSpec, k: int) -> AffineForm:
 def minus_form(spec: SequenceSpec, k: int) -> AffineForm:
     """Template toward the previous occurrence, or the weight cap when there is none."""
     i = spec.letter(k)
-    km = spec.prev_same_letter(k)
+    km = k - 1
+    while km > 0 and spec.letter(km) != i:
+        km -= 1
     if km > 0:
         coeffs = {km: 1, k: 1}
         for j in range(km + 1, k):
@@ -188,6 +195,19 @@ def descent(spec: SequenceSpec, psi: AffineForm, k: int) -> AffineForm:
         return psi
     template = plus_form(spec, k) if ck > 0 else minus_form(spec, k)
     return psi.minus(template, ck)
+
+
+def descent_table(spec: SequenceSpec, window: int) -> tuple:
+    """``inequalities.descent_templates`` built from the templates above.
+
+    One position at a time: (plus_form, minus_form) per window position,
+    then the coordinate forms and the weight caps in letter order.
+    """
+    zero = (0,) * spec.cartan.rank
+    table = [(plus_form(spec, k), minus_form(spec, k)) for k in range(1, window + 1)]
+    seeds = [AffineForm.make({k: 1}, zero) for k in range(1, window + 1)]
+    seeds += [lambda_form(spec, i) for i in spec.cartan.index_set()]
+    return table, seeds
 
 
 def implied_by_projection(rows, row, dim: int) -> bool:

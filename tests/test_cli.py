@@ -608,6 +608,22 @@ def test_diverging_closure_is_refused(capsys, argv, error):
     assert [line for line in err.splitlines() if line.startswith("error:")] == [error]
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["--type", "D", "--rank", "4", "--word", "1,2,1,3,4,2,1,3,4,2,3,4", "--lambda", "1,1,1,1"],
+     "error: eliminating a10 from 16569 rows would build 23897522 rows, "
+     "past the cap of 1000000"),
+    (["--type", "A", "--rank", "4", "--word", "1,2,1,3,2,1,4,3,2,1", "--lambda", "1,1,1,1",
+      "--window", "13"],
+     "error: eliminating a8 from 29601 rows would build 143985360 rows, "
+     "past the cap of 1000000"),
+])
+def test_delta_hrep_past_the_elimination_row_cap_is_refused(capsys, argv, error):
+    # redundancy removal on these systems would build its rows until memory runs out
+    code, out, err = run(capsys, ["delta-hrep", *argv])
+    assert code == 1 and out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [error]
+
+
 def test_theorem_check_exit_two_on_mismatch(capsys, monkeypatch):
     from crystal_polytope.demazure import DemazureSet
     from crystal_polytope.rootdata import ReducedWord, rho

@@ -8,9 +8,8 @@ import reference
 from crystal_polytope import inequalities
 from crystal_polytope.demazure import enumerate_demazure
 from crystal_polytope.inequalities import (CLOSURE_ROUNDS, AffineForm, _close, ample_check,
-                                           delta_hrep, delta_system, generate_xi,
-                                           lambda_form, minus_form, seed_forms, shat,
-                                           var_form)
+                                           delta_hrep, delta_system, descent_templates,
+                                           generate_xi, shat)
 from crystal_polytope.polytope import lattice_points
 from crystal_polytope.rootdata import ReducedWord, WeightVec, cartan_builtin, rho
 from crystal_polytope.zcrystal import SequenceSpec
@@ -37,34 +36,37 @@ def test_affine_form_algebra():
 
 
 def test_variable_and_weight_seed_forms():
-    assert var_form(SPEC_A2, 2).coefficient(2) == 1
-    lf = lambda_form(SPEC_A2, 1)
+    _, seeds = descent_templates(SPEC_A2, 3)
+    assert seeds[:3] == [form({k: 1}) for k in (1, 2, 3)] and len(seeds) == 5
+    [lf] = [f for f in seeds if f.lam_coeffs == (1, 0)]
     # lambda_1 minus the pairing-weighted entries before the first letter-1 slot
-    assert lf.lam_coeffs == (1, 0)
     assert lf.coefficient(1) == -1
     assert lf.coefficient(2) == 0
 
 
 def test_plus_and_minus_forms_walk_neighbours():
-    pf = minus_form(SPEC_A2, SPEC_A2.next_same_letter(1))
+    table, _ = descent_templates(SPEC_A2, 3)
+    pf = table[0][0]  # the pair starting at position 1
     # a_1 + <alpha_2, h_1> a_2 + a_3 for the base word (1, 2, 1)
     assert (pf.coefficient(1), pf.coefficient(2), pf.coefficient(3)) == (1, -1, 1)
-    mf = minus_form(SPEC_A2, 3)
-    assert mf.coefficient(1) == 1 and mf.coefficient(2) == -1
+    mf = table[2][1]  # the pair ending at position 3
+    assert mf == pf
 
 
 def test_descent_leaves_zero_coefficient_positions_alone():
-    psi = var_form(SPEC_A2, 2)
-    assert shat(SPEC_A2, psi, 1) == psi
+    table, _ = descent_templates(SPEC_A2, 3)
+    psi = form({2: 1})
+    assert shat(table, psi, 1) == psi
 
 
 def test_descent_idempotence_when_slot_vanishes():
     xi = generate_xi(SPEC_A2, 3)
+    table, _ = descent_templates(SPEC_A2, 3)
     for psi in xi.forms:
         for k in range(1, 4):
-            once = shat(SPEC_A2, psi, k)
+            once = shat(table, psi, k)
             if once.coefficient(k) == 0:
-                assert shat(SPEC_A2, once, k) == once
+                assert shat(table, once, k) == once
 
 
 def test_closure_a2_is_small_and_certified():
@@ -102,9 +104,10 @@ def test_closure_restriction_is_window_insensitive():
 
 def naive_close(spec, window):
     """Every round descends every form found so far."""
-    forms = {f for f in seed_forms(spec, window) if not f.is_zero()}
+    table, seeds = descent_templates(spec, window)
+    forms = {f for f in seeds if not f.is_zero()}
     for _ in range(CLOSURE_ROUNDS):
-        fresh = {shat(spec, psi, k) for psi in forms for k in range(1, window + 1)}
+        fresh = {shat(table, psi, k) for psi in forms for k in range(1, window + 1)}
         fresh = {f for f in fresh if not f.is_zero()} - forms
         if not fresh:
             return forms, True
@@ -130,9 +133,9 @@ def test_closure_descends_only_at_nonzero_coefficients(monkeypatch, family, rank
     spec = SequenceSpec(cartan_builtin(family, rank), ReducedWord(letters))
     seen = []
 
-    def checked(spec, psi, k):
+    def checked(table, psi, k):
         seen.append(psi.coefficient(k))
-        return shat(spec, psi, k)
+        return shat(table, psi, k)
 
     monkeypatch.setattr(inequalities, "shat", checked)
     generate_xi(spec, len(letters))
@@ -174,15 +177,15 @@ def test_closure_past_the_form_cap_is_refused(monkeypatch):
 def test_single_template_matches_the_two_template_descent(family, rank, letters):
     cartan = cartan_builtin(family, rank)
     spec = SequenceSpec(cartan, ReducedWord(letters))
-    for i in cartan.index_set():
-        assert lambda_form(spec, i) == reference.lambda_form(spec, i)
     for window in (len(letters), len(letters) + rank):
+        table, seeds = descent_templates(spec, window)
+        caps = [reference.lambda_form(spec, i) for i in cartan.index_set()]
+        assert sorted(seeds[window:]) == sorted(caps)
         for k in range(1, window + 1):
-            assert minus_form(spec, spec.next_same_letter(k)) == reference.plus_form(spec, k)
-            assert minus_form(spec, k) == reference.minus_form(spec, k)
+            assert table[k - 1] == (reference.plus_form(spec, k), reference.minus_form(spec, k))
         for psi in generate_xi(spec, window).forms:
             for k in range(1, window + 1):
-                assert shat(spec, psi, k) == reference.descent(spec, psi, k), (psi, k)
+                assert shat(table, psi, k) == reference.descent(spec, psi, k), (psi, k)
 
 
 @pytest.mark.parametrize("family,rank,letters", CHARTS)
@@ -192,11 +195,44 @@ def test_closure_matches_one_built_on_the_reference_templates(monkeypatch, famil
     for window in (len(letters), len(letters) + rank):
         xi = generate_xi(spec, window)
         with monkeypatch.context() as m:
-            m.setattr(inequalities, "shat", reference.descent)
-            m.setattr(inequalities, "lambda_form", reference.lambda_form)
+            m.setattr(inequalities, "descent_templates", reference.descent_table)
             ref = generate_xi(spec, window)
         assert (xi.forms, xi.stabilized, xi.certified) == \
             (ref.forms, ref.stabilized, ref.certified)
+
+
+@pytest.mark.parametrize("family", ["A", "B", "C"])
+def test_one_pass_templates_match_the_reference_on_every_reduced_word(family):
+    # every window position has a pair-starting template: the pass reads rank
+    # positions past the window, and every tail period holds each letter once
+    cartan = cartan_builtin(family, 3)
+    for letters in reference.all_reduced_words_longest(cartan):
+        spec = SequenceSpec(cartan, ReducedWord(letters))
+        for window in range(len(letters), len(letters) + 4):
+            table, seeds = descent_templates(spec, window)
+            ref_table, ref_seeds = reference.descent_table(spec, window)
+            assert len(table) == window and None not in (start for start, _ in table)
+            assert table == ref_table, (letters, window)
+            assert sorted(seeds) == sorted(ref_seeds), (letters, window)
+
+
+@pytest.mark.parametrize("family,rank,letters", CHARTS)
+def test_one_template_pass_per_closure(monkeypatch, family, rank, letters):
+    spec = SequenceSpec(cartan_builtin(family, rank), ReducedWord(letters))
+    window = len(letters) + rank
+    passes = []
+
+    def counted(spec, window):
+        passes.append(window)
+        return descent_templates(spec, window)
+
+    def no_lookup(self, k):
+        raise AssertionError("the closure reads letters from the table pass only")
+
+    monkeypatch.setattr(inequalities, "descent_templates", counted)
+    monkeypatch.setattr(SequenceSpec, "letter", no_lookup)
+    xi = generate_xi(spec, window)
+    assert xi.certified and passes == [window, window + rank]
 
 
 def test_window_below_word_length_rejected():

@@ -184,6 +184,20 @@ def test_implied_by_combines_rows():
     assert not _implied_by(rows, ((1, -1), 0), 2)  # x - y can be negative
 
 
+def test_implied_by_refuses_an_elimination_step_past_the_row_cap(monkeypatch):
+    assert polytope.IMPLIED_ROWS == 1_000_000
+    rows = [((1, 0), 0), ((0, 1), 0)]  # x >= 0, y >= 0
+    # eliminating x keeps y >= 0 and pairs x >= 0 with the negation -x - y > 0: 2 rows
+    monkeypatch.setattr(polytope, "IMPLIED_ROWS", 2)
+    assert _implied_by(rows, ((1, 1), 0), 2)
+    monkeypatch.setattr(polytope, "IMPLIED_ROWS", 1)
+    with pytest.raises(ValueError, match=r"^eliminating a1 from 3 rows would build 2 rows, "
+                                         r"past the cap of 1$"):
+        _implied_by(rows, ((1, 1), 0), 2)
+    with pytest.raises(ValueError, match="past the cap of 1"):
+        normalize(HalfSpaceSystem.make(2, [*rows, ((1, 1), 0)]))
+
+
 def test_implied_by_matches_the_projection_on_random_systems():
     rng = random.Random(20261018)
     implied = 0
