@@ -224,7 +224,9 @@ def _dispatch(args) -> int:
     if args.command in ("eta", "star"):
         if args.command == "star":
             x = _require_member(spec, args.point)
-            out = _star_of_member(spec, x).coords(num_positive_roots(cartan))
+            partner = _star_of_member(spec, x)
+            # a short word's partner can reach past N: print its whole support
+            out = partner.coords(max(num_positive_roots(cartan), partner.support_max()))
         else:
             chart = eta_opposite if args.opposite else eta
             try:
@@ -313,8 +315,10 @@ def _theorem_check(args, cartan, spec, word, lam, meta) -> int:
         try:
             levels[k] = level == lattice(scaled)
         except ValueError:
-            # an unbounded system has infinitely many rational points, so it
-            # cannot match a finite level: a mismatch, not an error
+            # no finite box: an unbounded system has infinitely many rational
+            # points, so it cannot match a finite level (a mismatch, not an
+            # error); a bounded system that interval propagation cannot box
+            # would be misread here, but no delta system is known to be one
             levels[k] = False
     record("semigroup_levels", all(levels.values()),
            ",".join(f"k={k}:{'ok' if v else 'FAIL'}" for k, v in levels.items()))

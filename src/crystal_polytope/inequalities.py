@@ -145,6 +145,11 @@ class XiSet:
     delta: tuple  # the nonzero restrictions of the forms to the word positions, sorted
 
 
+def _cap_error(spec: SequenceSpec, window: int) -> ValueError:
+    return ValueError(f"the descent closure of word {list(spec.base.letters)} "
+                      f"at window {window} passed {CLOSURE_FORMS} forms")
+
+
 def _close(spec: SequenceSpec, window: int):
     # Only last round's forms are descended, only at window positions of their support:
     # older forms' descents are in already, and a zero coefficient leaves a form as it is.
@@ -159,8 +164,7 @@ def _close(spec: SequenceSpec, window: int):
             return forms, True
         forms |= fresh
         if len(forms) > CLOSURE_FORMS:
-            raise ValueError(f"the descent closure of word {list(spec.base.letters)} "
-                             f"at window {window} passed {CLOSURE_FORMS} forms")
+            raise _cap_error(spec, window)
     return forms, False
 
 
@@ -176,6 +180,10 @@ def generate_xi(spec: SequenceSpec, window: int) -> XiSet:
     r = len(spec.base.letters)
     if window < r:
         raise ValueError("window must cover the base word")
+    if window + spec.cartan.rank >= CLOSURE_FORMS:
+        # the closure starts from window + rank distinct seeds, and its first round
+        # adds the descent of a_1, which no seed equals: refuse before building them
+        raise _cap_error(spec, window)
     forms, stabilized = _close(spec, window)
     delta = _restricted(forms, r)
     certified = False

@@ -55,7 +55,12 @@ def bounding_box(system: HalfSpaceSystem) -> LatticeBox:
 
     Each round tightens one variable against each row using the current
     intervals of the others.  Raises when some variable is still
-    unbounded at the fixpoint; such a system has no finite box.
+    unbounded at the fixpoint.  Every unbounded system raises, and so do
+    some bounded ones: x, y >= 0, 2x - y <= 5, 2y - x <= 5 bounds both
+    variables, but each upper bound needs the other's first.  No delta
+    system is known to raise that way: the certified closures of every
+    reduced word of the longest element in A2, B2, G2, A3, B3 and C3 all
+    have finite boxes at 0, rho and 2*rho.
     """
     n = system.dim
     lo = [None] * n

@@ -6,9 +6,10 @@ one ranks variables first-to-last, the other last-to-first; both send a
 polynomial to minus the exponent vector of its maximal monomial.  The
 span machinery builds the product of the factors exp(t_k F) = I + t_k F
 of square-zero generators by column operations, expands its minors on
-the first columns column by column to model weight-module sections, and
-reads off achieved values by exact Gaussian elimination against the
-chosen monomial order.
+the first columns column by column, multiplies them into the standard
+monomials of a weight, which span the modeled sections, and reads off
+achieved values by exact Gaussian elimination against the chosen
+monomial order.
 """
 
 from __future__ import annotations
@@ -242,8 +243,8 @@ def unipotent_product(word: ReducedWord, gens: dict) -> PolyMatrix:
     return PolyMatrix(tuple(zip(*cols)))
 
 
-def column_minors(matrix: PolyMatrix, d: int) -> list:
-    """All d-row minors of the first d columns, rows in index order.
+def column_minors(matrix: PolyMatrix, d: int) -> dict:
+    """Every d-row minor of the first d columns, keyed by row set in index order.
 
     Built column by column: the minor on rows R and the first c columns
     expands along column c over the minors on R less one row and the
@@ -261,33 +262,29 @@ def column_minors(matrix: PolyMatrix, d: int) -> list:
                     acc = acc.sub(term) if (c - 1 - x) % 2 else acc.add(term)
             grown[rows] = acc
         minors = grown
-    return list(minors.values())
+    return minors
 
 
 def section_span(matrix: PolyMatrix, lam: WeightVec) -> list:
-    """Products of fundamental minors modeling the weight-lam section space.
+    """The standard monomials of weight lam, spanning the modeled section space.
 
-    Entry d of the weight picks d-row minors with multiplicity; the span
-    is every product of such choices.  Valid for the type A model, where
-    the fundamental section spaces are exactly the minor spans.
+    Entry d of the weight gives that many d-row columns of a tableau,
+    longest first; a monomial takes one minor per column and is standard
+    when each row set is componentwise at least the previous column's on
+    its rows.  Straightening writes every product of minors in these, and
+    on a longest word they are a basis.  Each is built once, as its parent
+    times one minor.  Valid for the type A model, where the fundamental
+    section spaces are exactly the minor spans.
     """
-    factors = []
-    for d, mult in enumerate(lam.coords, start=1):
-        if mult < 0:
-            raise ValueError("weight must be dominant")
-        if mult == 0:
-            continue
-        minors = column_minors(matrix, d)
-        factors.append(list(itertools.combinations_with_replacement(minors, mult)))
-    nvars = matrix.at(1, 1).nvars
-    span = []
-    for combo in itertools.product(*factors) if factors else [()]:
-        prod = MultiPoly.constant(nvars, 1)
-        for group in combo:
-            for f in group:
-                prod = prod.mul(f)
-        span.append(prod)
-    return span
+    if any(m < 0 for m in lam.coords):
+        raise ValueError("weight must be dominant")
+    nodes = [((), MultiPoly.constant(matrix.at(1, 1).nvars, 1))]
+    for d in range(len(lam.coords), 0, -1):
+        minors = column_minors(matrix, d) if lam[d] else {}
+        for _ in range(lam[d]):
+            nodes = [(rows, prod.mul(f)) for prev, prod in nodes for rows, f in minors.items()
+                     if all(a <= b for a, b in zip(prev, rows))]
+    return [prod for _, prod in nodes]
 
 
 def restrict_span(span: list, r: int) -> list:

@@ -4,7 +4,8 @@ Each one is written independently of the library routine it checks:
 the derivative orders against ``valuation.value``, the full exponential
 series product against ``valuation.unipotent_product``, Leibniz sums
 over permutations against ``valuation.column_minors`` and its column
-expansion, weight
+expansion, every product of those minors against the standard monomials
+of ``valuation.section_span``, weight
 reflections for the brute-force reduced-word oracle, the two-template
 descent (a form toward the next and one toward the previous occurrence
 of a letter, each found by its own walk over the letters) against
@@ -103,10 +104,10 @@ def exp_series_product(word, gens: dict) -> PolyMatrix:
     return PolyMatrix(tuple(tuple(row) for row in out))
 
 
-def leibniz_minors(matrix: PolyMatrix, d: int) -> list:
-    """Every d-row minor of the first d columns as a sum over permutations, rows in order."""
+def leibniz_minors(matrix: PolyMatrix, d: int) -> dict:
+    """Every d-row minor of the first d columns as a sum over permutations, keyed by row set."""
     nvars = matrix.at(1, 1).nvars
-    out = []
+    out = {}
     for rows in itertools.combinations(range(1, matrix.size + 1), d):
         acc = MultiPoly.zero(nvars)
         for perm in itertools.permutations(range(d)):
@@ -115,8 +116,33 @@ def leibniz_minors(matrix: PolyMatrix, d: int) -> list:
             for row, col in zip(rows, perm):
                 term = term.mul(matrix.at(row, col + 1))
             acc = acc.add(term)
-        out.append(acc)
+        out[rows] = acc
     return out
+
+
+def all_products_span(matrix: PolyMatrix, lam: WeightVec) -> list:
+    """Every product of fundamental minors of weight lam, standard or not.
+
+    Entry d of the weight picks that many d-row minors with repetition,
+    each product rebuilt from 1.  Its span is the section space, with
+    every dependent product that straightening would rewrite.
+    """
+    factors = []
+    for d, mult in enumerate(lam.coords, start=1):
+        if mult < 0:
+            raise ValueError("weight must be dominant")
+        if mult:
+            minors = leibniz_minors(matrix, d).values()
+            factors.append(list(itertools.combinations_with_replacement(minors, mult)))
+    nvars = matrix.at(1, 1).nvars
+    span = []
+    for combo in itertools.product(*factors):
+        prod = MultiPoly.constant(nvars, 1)
+        for group in combo:
+            for f in group:
+                prod = prod.mul(f)
+        span.append(prod)
+    return span
 
 
 def reflect(cartan: CartanMatrix, i: int, lam: WeightVec) -> WeightVec:
@@ -144,6 +170,16 @@ def all_reduced_words_longest(cartan: CartanMatrix) -> list:
 
     grow(())
     return out
+
+
+def all_reduced_words(cartan: CartanMatrix) -> list:
+    """Every nonempty reduced word, by length, each length in lexicographic order."""
+    words = []
+    for length in range(1, num_positive_roots(cartan) + 1):
+        for letters in itertools.product(cartan.index_set(), repeat=length):
+            if is_reduced(cartan, letters):
+                words.append(letters)
+    return words
 
 
 def lambda_form(spec: SequenceSpec, i: int) -> AffineForm:

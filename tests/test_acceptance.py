@@ -15,7 +15,7 @@ from crystal_polytope.demazure import btilde_cut, enumerate_demazure, string_poi
 from crystal_polytope.inequalities import ample_check, delta_hrep, delta_system, generate_xi
 from crystal_polytope.polytope import HalfSpaceSystem, bounding_box, lattice_points, _implied_by
 from crystal_polytope.rootdata import (ReducedWord, WeightVec, cartan_builtin,
-                                       fundamental, is_reduced, num_positive_roots,
+                                       fundamental, num_positive_roots,
                                        rho, root_to_weight, simple_root, weyl_dim_oracle)
 from crystal_polytope.valuation import (MultiPoly, ValuationOrder, builtin_generators,
                                         parse_poly, restrict_span, section_span,
@@ -23,7 +23,7 @@ from crystal_polytope.valuation import (MultiPoly, ValuationOrder, builtin_gener
 from crystal_polytope.zcrystal import (LambdaTwist, SequenceSpec, ZElement, eps,
                                        etilde, ftilde, phi, twist_eps, twist_etilde,
                                        twist_ftilde, twist_phi, twist_wt, wt)
-from reference import chevalley_value
+from reference import all_reduced_words, chevalley_value
 
 A2 = cartan_builtin("A", 2)
 C2 = cartan_builtin("C", 2)
@@ -179,22 +179,13 @@ def test_criterion_04_hrep_matches_displays(capsys):
            "inequality systems match the tabulated displays at omega1, omega2, rho, 2*rho")
 
 
-def _all_reduced_words(cartan):
-    words = []
-    for length in range(1, num_positive_roots(cartan) + 1):
-        for letters in itertools.product(cartan.index_set(), repeat=length):
-            if is_reduced(cartan, letters):
-                words.append(letters)
-    return words
-
-
 def test_criterion_05_lattice_equals_crystal(capsys):
     start = time.monotonic()
     ok = True
     golden_counts = {(A2.rows, (1, 1)): 8, (A2.rows, (2, 2)): 27, (C2.rows, (1, 1)): 16}
     for cartan in (A2, C2):
         n = num_positive_roots(cartan)
-        for letters in _all_reduced_words(cartan):
+        for letters in all_reduced_words(cartan):
             word = ReducedWord(letters)
             spec = SequenceSpec(cartan, word)
             xi = generate_xi(spec, len(letters))

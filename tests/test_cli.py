@@ -232,6 +232,19 @@ def test_star_and_opposite_chart(capsys):
     assert code == 0 and out.strip() == "1,2,1,0"
 
 
+@pytest.mark.parametrize("family,rank,word,point,partner", [
+    ("A", 3, "1,2,1,3", "2,4,2,6", "2,0,0,6,0,4,0,2"),
+    ("A", 3, "1,2,1,3", "2,0,0,6,0,4,0,2", "2,4,2,6,0,0"),
+    ("B", 3, "2,3,2,1,3,2", "2,4,2,5,0,1", "1,0,0,5,0,2,0,0,4,0,2"),
+    ("B", 3, "2,3,2,1,3,2", "1,0,0,5,0,2,0,0,4,0,2", "2,4,2,5,0,1,0,0,0"),
+])
+def test_star_of_a_short_word_prints_the_whole_partner(capsys, family, rank, word, point, partner):
+    # a short word's partner can reach past the N positive roots; starring it gives the point back
+    code, out, _ = run(capsys, ["star", "--type", family, "--rank", str(rank),
+                                "--word", word, "--point", point, "--format", "csv"])
+    assert code == 0 and out.strip() == partner
+
+
 @pytest.fixture
 def membership_calls(monkeypatch):
     """The elements membership is asked about, from the CLI and from binfinity."""
@@ -693,6 +706,10 @@ def test_weight_of_the_wrong_rank_is_rejected(capsys, command):
     (["theorem-check", "--type", "C", "--rank", "2", "--word", "1,2,1,2", "--lambda", "1,1",
       "--degree-cap", "2"],
      "error: --degree-cap checks the valuation side, which exists for type A only"),
+    # the form cap refuses this window before any form or template is built
+    (["ample", "--type", "A", "--rank", "2", "--word", "1,2,1", "--lambda", "1,1",
+      "--window", "1000000000"],
+     "error: the descent closure of word [1, 2, 1] at window 1000000000 passed 20000 forms"),
 ])
 def test_data_errors_exit_one_with_one_error_line(capsys, argv, error):
     code, out, err = run(capsys, argv)

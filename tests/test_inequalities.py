@@ -173,6 +173,20 @@ def test_closure_past_the_form_cap_is_refused(monkeypatch):
         generate_xi(SPEC_C2, 4)
 
 
+def test_window_past_the_form_cap_is_refused_before_any_template(monkeypatch):
+    # window + rank seeds, and the first round adds one: the cap must refuse these
+    def no_templates(spec, window):
+        raise AssertionError(f"templates built at window {window}")
+
+    monkeypatch.setattr(inequalities, "descent_templates", no_templates)
+    cap = inequalities.CLOSURE_FORMS
+    for window in (cap - 2, cap, 10 ** 9):
+        with pytest.raises(ValueError, match=rf"word \[1, 2, 1\] at window {window} passed {cap} forms"):
+            generate_xi(SPEC_A2, window)
+    with pytest.raises(AssertionError, match=f"templates built at window {cap - 3}"):
+        generate_xi(SPEC_A2, cap - 3)
+
+
 @pytest.mark.parametrize("family,rank,letters", CHARTS)
 def test_single_template_matches_the_two_template_descent(family, rank, letters):
     cartan = cartan_builtin(family, rank)

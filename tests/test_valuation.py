@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 
 from crystal_polytope.demazure import enumerate_demazure
-from crystal_polytope.rootdata import ReducedWord, WeightVec, cartan_builtin, fundamental, rho
+from crystal_polytope.rootdata import (ReducedWord, WeightVec, cartan_builtin, fundamental, rho,
+                                       weyl_dim_oracle)
 from crystal_polytope.valuation import (MultiPoly, PolyMatrix, ValuationOrder,
                                         builtin_generators, column_minors, parse_poly,
                                         products_closure, restrict_span, section_span,
                                         unipotent_product, value, value_set_of_span)
-from reference import chevalley_value, exp_series_product, leibniz_minors
+from reference import (all_products_span, all_reduced_words, chevalley_value,
+                       exp_series_product, leibniz_minors)
 
 A2 = cartan_builtin("A", 2)
 C2 = cartan_builtin("C", 2)
@@ -142,8 +144,8 @@ def test_c2_generators_square_to_zero_blocks():
 def test_column_minors_of_the_first_column():
     mat = unipotent_product(W_A2, builtin_generators(A2))
     minors = column_minors(mat, 1)
-    assert set(minors) == {MultiPoly.constant(3, 1),
-                           parse_poly("t1 + t3", 3), parse_poly("t1*t2", 3)}
+    assert set(minors.values()) == {MultiPoly.constant(3, 1),
+                                    parse_poly("t1 + t3", 3), parse_poly("t1*t2", 3)}
 
 
 @pytest.mark.parametrize("family,rank,letters", [
@@ -177,6 +179,55 @@ def test_section_span_value_sets_match_crystal_slices():
         exps = {tuple(-x for x in v) for v in values}
         crystal = enumerate_demazure(A2, W_A2, lam).coords
         assert exps == set(crystal), lam
+
+
+def _longest_type_a(rank: int) -> ReducedWord:
+    return ReducedWord(tuple(x for j in range(1, rank + 1) for x in range(j, 0, -1)))
+
+
+@pytest.mark.parametrize("rank,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)])
+def test_section_span_counts_the_weyl_dimension_on_longest_words(rank, k):
+    # on a longest word the standard monomials are a basis: one per tableau
+    cartan = cartan_builtin("A", rank)
+    lam = rho(rank).scale(k)
+    span = section_span(unipotent_product(_longest_type_a(rank), builtin_generators(cartan)), lam)
+    assert len(span) == weyl_dim_oracle(cartan, lam)
+
+
+@pytest.mark.parametrize("rank,k", [(2, 1), (2, 2), (2, 3), (3, 1)])
+def test_section_span_builds_only_products_of_minors(rank, k):
+    mat = unipotent_product(_longest_type_a(rank), builtin_generators(cartan_builtin("A", rank)))
+    lam = rho(rank).scale(k)
+    assert set(section_span(mat, lam)) <= set(all_products_span(mat, lam))
+
+
+def _same_values(span, oracle):
+    return all(value_set_of_span(span, order) == value_set_of_span(oracle, order)
+               for order in (HI, TILDE))
+
+
+@pytest.mark.parametrize("rank,weights", [
+    (2, [(1, 0), (0, 1), (1, 1), (2, 1), (2, 2)]),
+    (3, [(1, 0, 0), (0, 1, 0), (1, 0, 1), (1, 1, 1)]),
+])
+def test_section_span_values_equal_every_product_on_every_word(rank, weights):
+    cartan = cartan_builtin("A", rank)
+    for letters in all_reduced_words(cartan):
+        mat = unipotent_product(ReducedWord(letters), builtin_generators(cartan))
+        for lam in map(WeightVec, weights):
+            assert _same_values(section_span(mat, lam), all_products_span(mat, lam)), (letters, lam)
+
+
+def test_restricted_and_closed_spans_keep_the_values_of_every_product():
+    mat = unipotent_product(_longest_type_a(3), builtin_generators(cartan_builtin("A", 3)))
+    span, oracle = section_span(mat, rho(3)), all_products_span(mat, rho(3))
+    for r in range(1, 6):
+        assert _same_values(restrict_span(span, r), restrict_span(oracle, r)), r
+    for rank, cap in ((2, 3), (3, 2)):
+        mat = unipotent_product(_longest_type_a(rank), builtin_generators(cartan_builtin("A", rank)))
+        lam = rho(rank)
+        assert _same_values(products_closure(section_span(mat, lam), cap),
+                            products_closure(all_products_span(mat, lam), cap)), rank
 
 
 def test_restricted_span_matches_partial_slices():
