@@ -200,23 +200,31 @@ def _implied_by(rows, row, dim: int) -> bool:
     Decided on the strict negation: rows together with -row(x) > 0 have
     no rational solution exactly when row is implied (infeasible rows
     imply every row).  Fourier-Motzkin eliminates every variable; a
-    combined row is strict when either parent is.  Integer rows combined
-    with integer multipliers stay integer; after each eliminated variable
-    the rows are reduced to primitive form and deduplicated, strict flag
-    included, which leaves the solution set as it is.  The system is
-    infeasible when some final row reads const < 0, or const == 0 and
-    strict.  Before a step builds its rows, their count (the rows free of
-    the variable plus one per positive-negative pair) is checked against
-    ``IMPLIED_ROWS``; past it the step raises instead of exhausting memory.
+    combined row is strict when either parent is.  A step builds the rows
+    free of its variable plus one per positive-negative pair, and each
+    step eliminates the remaining variable with the fewest such rows
+    (ties to the lowest index); the answer is the same in every order.
+    Integer rows combined with integer multipliers stay integer; after
+    each eliminated variable the rows are reduced to primitive form and
+    deduplicated, strict flag included, which leaves the solution set as
+    it is.  The system is infeasible when some final row reads const < 0,
+    or const == 0 and strict.  Before a step builds its rows, their count
+    is checked against ``IMPLIED_ROWS``; past it the step raises instead
+    of exhausting memory.
     """
     coeffs, const = row
     work = [(tuple(c), k, False) for c, k in rows]
     work.append((tuple(-c for c in coeffs), -const, True))
-    for v in range(dim):
-        pos = [r for r in work if r[0][v] > 0]
-        neg = [r for r in work if r[0][v] < 0]
+    left = list(range(dim))
+    while left:
+        steps = []
+        for v in left:
+            pos = [r for r in work if r[0][v] > 0]
+            neg = [r for r in work if r[0][v] < 0]
+            steps.append((len(work) - len(pos) - len(neg) + len(pos) * len(neg), v, pos, neg))
+        count, v, pos, neg = min(steps, key=lambda step: step[:2])
+        left.remove(v)
         combined = [r for r in work if r[0][v] == 0]
-        count = len(combined) + len(pos) * len(neg)
         if count > IMPLIED_ROWS:
             raise ValueError(f"eliminating a{v + 1} from {len(work)} rows would build {count} "
                              f"rows, past the cap of {IMPLIED_ROWS}")

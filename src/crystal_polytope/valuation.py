@@ -243,17 +243,18 @@ def unipotent_product(word: ReducedWord, gens: dict) -> PolyMatrix:
     return PolyMatrix(tuple(zip(*cols)))
 
 
-def column_minors(matrix: PolyMatrix, d: int) -> dict:
-    """Every d-row minor of the first d columns, keyed by row set in index order.
+def column_minors(matrix: PolyMatrix, d: int) -> list:
+    """Every c-row minor of the first c columns, for c = 0..d, from one expansion.
 
-    Built column by column: the minor on rows R and the first c columns
-    expands along column c over the minors on R less one row and the
-    first c - 1 columns, which the previous column left behind.
+    Entry c of the list maps each c-row set, in index order, to its
+    minor.  Built column by column: the minor on rows R and the first c
+    columns expands along column c over the minors on R less one row and
+    the first c - 1 columns, which the previous level holds.
     """
     nvars = matrix.at(1, 1).nvars
-    minors = {(): MultiPoly.constant(nvars, 1)}
+    levels = [{(): MultiPoly.constant(nvars, 1)}]
     for c in range(1, d + 1):
-        grown = {}
+        minors, grown = levels[-1], {}
         for rows in itertools.combinations(range(1, matrix.size + 1), c):
             acc = MultiPoly.zero(nvars)
             for x, row in enumerate(rows):
@@ -261,8 +262,8 @@ def column_minors(matrix: PolyMatrix, d: int) -> dict:
                     term = entry.mul(minors[rows[:x] + rows[x + 1:]])
                     acc = acc.sub(term) if (c - 1 - x) % 2 else acc.add(term)
             grown[rows] = acc
-        minors = grown
-    return minors
+        levels.append(grown)
+    return levels
 
 
 def section_span(matrix: PolyMatrix, lam: WeightVec) -> list:
@@ -273,16 +274,18 @@ def section_span(matrix: PolyMatrix, lam: WeightVec) -> list:
     when each row set is componentwise at least the previous column's on
     its rows.  Straightening writes every product of minors in these, and
     on a longest word they are a basis.  Each is built once, as its parent
-    times one minor.  Valid for the type A model, where the fundamental
-    section spaces are exactly the minor spans.
+    times one minor, and one column expansion to the longest column gives
+    the minors of every length.  Valid for the type A model, where the
+    fundamental section spaces are exactly the minor spans.
     """
     if any(m < 0 for m in lam.coords):
         raise ValueError("weight must be dominant")
+    top = max((d for d, m in enumerate(lam.coords, start=1) if m), default=0)
+    levels = column_minors(matrix, top)
     nodes = [((), MultiPoly.constant(matrix.at(1, 1).nvars, 1))]
-    for d in range(len(lam.coords), 0, -1):
-        minors = column_minors(matrix, d) if lam[d] else {}
+    for d in range(top, 0, -1):
         for _ in range(lam[d]):
-            nodes = [(rows, prod.mul(f)) for prev, prod in nodes for rows, f in minors.items()
+            nodes = [(rows, prod.mul(f)) for prev, prod in nodes for rows, f in levels[d].items()
                      if all(a <= b for a, b in zip(prev, rows))]
     return [prod for _, prod in nodes]
 

@@ -1,4 +1,4 @@
-"""Acceptance battery: eleven desk-scale cross-validation criteria.
+"""Acceptance battery: twelve desk-scale cross-validation criteria.
 
 Each test prints one [PASS]/[FAIL] line through the capture-disabled
 channel so the verdicts are visible in any pytest run.  Criteria with a
@@ -6,10 +6,14 @@ stated wall-clock budget assert it.
 """
 
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
 
+import pytest
+
+from crystal_polytope import cli
 from crystal_polytope.binfinity import eta, eta_opposite, membership
 from crystal_polytope.demazure import btilde_cut, enumerate_demazure, string_points
 from crystal_polytope.inequalities import ample_check, delta_hrep, delta_system, generate_xi
@@ -452,3 +456,24 @@ def test_criterion_11_crystal_axiom_sweep(capsys):
     elapsed = time.monotonic() - start
     report(capsys, 11, ok, elapsed,
            "10^4 randomized operator cases satisfy the crystal axioms, twisted included")
+
+
+@pytest.mark.parametrize("label,argv", [
+    ("A3", ["--type", "A", "--rank", "3", "--word", "1,2,1,3,2,1", "--lambda", "1,1,1",
+            "--window", "8"]),
+    ("B3", ["--type", "B", "--rank", "3", "--word", "1,2,1,3,2,1,3,2,3", "--lambda", "1,1,1"]),
+    ("C3", ["--type", "C", "--rank", "3", "--word", "1,2,1,3,2,1,3,2,3", "--lambda", "1,1,1"]),
+    ("D4", ["--type", "D", "--rank", "4", "--word", "1,2,1,3,4,2,1,3,4,2,3,4",
+            "--lambda", "1,1,1,1", "--k-max", "1"]),
+    ("A4", ["--type", "A", "--rank", "4", "--word", "1,2,1,3,2,1,4,3,2,1",
+            "--lambda", "1,1,1,1", "--window", "13", "--k-max", "0"]),
+])
+def test_criterion_12_theorem_check_at_rho_on_rank_three_and_four(capsys, label, argv):
+    # A3 and A4 need a window past the word length to certify their closures
+    start = time.monotonic()
+    code = cli.main(["theorem-check", *argv])
+    elapsed = time.monotonic() - start
+    data = json.loads(capsys.readouterr().out)["data"]
+    ok = code == 0 and not data["failed"] and all(c["pass"] for c in data["checks"])
+    report(capsys, 12, ok and elapsed < 30.0, elapsed,
+           f"theorem-check on {label} at rho passes every check: {' '.join(argv)}")

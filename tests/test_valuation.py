@@ -143,9 +143,10 @@ def test_c2_generators_square_to_zero_blocks():
 
 def test_column_minors_of_the_first_column():
     mat = unipotent_product(W_A2, builtin_generators(A2))
-    minors = column_minors(mat, 1)
-    assert set(minors.values()) == {MultiPoly.constant(3, 1),
-                                    parse_poly("t1 + t3", 3), parse_poly("t1*t2", 3)}
+    levels = column_minors(mat, 1)
+    assert levels[0] == {(): MultiPoly.constant(3, 1)}
+    assert set(levels[1].values()) == {MultiPoly.constant(3, 1),
+                                       parse_poly("t1 + t3", 3), parse_poly("t1*t2", 3)}
 
 
 @pytest.mark.parametrize("family,rank,letters", [
@@ -153,9 +154,12 @@ def test_column_minors_of_the_first_column():
     ("A", 4, (1, 2, 1, 3, 2, 1, 4, 3, 2, 1)), ("A", 4, (4, 3, 4, 2, 3, 1)),
 ])
 def test_column_minors_equal_the_permutation_sums(family, rank, letters):
+    # one full-size expansion holds every level
     mat = unipotent_product(ReducedWord(letters), builtin_generators(cartan_builtin(family, rank)))
+    levels = column_minors(mat, mat.size)
+    assert len(levels) == mat.size + 1
     for d in range(1, mat.size + 1):
-        assert column_minors(mat, d) == leibniz_minors(mat, d), d
+        assert levels[d] == leibniz_minors(mat, d), d
 
 
 def test_column_minors_of_dense_matrices_equal_the_permutation_sums():
@@ -168,7 +172,7 @@ def test_column_minors_of_dense_matrices_equal_the_permutation_sums():
                                  f"{rng.randint(-3, 3)}", 2) for _ in range(size))
                 for _ in range(size)))
             for d in range(1, size + 1):
-                assert column_minors(mat, d) == leibniz_minors(mat, d), (mat, d)
+                assert column_minors(mat, d)[d] == leibniz_minors(mat, d), (mat, d)
 
 
 def test_section_span_value_sets_match_crystal_slices():
