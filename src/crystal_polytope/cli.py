@@ -15,7 +15,7 @@ import functools
 import json
 import sys
 
-from .binfinity import _star_of_member, eta, eta_opposite, membership
+from .binfinity import eta, eta_opposite, membership, star
 from .demazure import btilde_cut, enumerate_demazure, string_points
 from .inequalities import ample_check, delta_hrep, delta_system, generate_xi
 from .polytope import lattice_points, normalize
@@ -92,11 +92,9 @@ def _hrep_line(const: int, lam_coeffs, coeffs) -> str:
     return " + ".join(parts) + " >= 0"
 
 
-def _require_member(spec, coords) -> ZElement:
-    x = ZElement.from_coords(coords)
-    if not membership(spec, x):
+def _require_member(spec, coords) -> None:
+    if not membership(spec, ZElement.from_coords(coords)):
         raise ValueError(f"point {list(coords)} is not in the crystal image for this word")
-    return x
 
 
 def _xi_for(spec, args):
@@ -222,20 +220,17 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command in ("eta", "star"):
+        chart = star if args.command == "star" else eta_opposite if args.opposite else eta
+        try:
+            out = chart(spec, ZElement.from_coords(args.point))
+        except ValueError:
+            # star and the exhaustive peel fail exactly on non-members, and a
+            # non-member is named before a word that is not a longest word
+            _require_member(spec, args.point)
+            raise
         if args.command == "star":
-            x = _require_member(spec, args.point)
-            partner = _star_of_member(spec, x)
             # a short word's partner can reach past N: print its whole support
-            out = partner.coords(max(num_positive_roots(cartan), partner.support_max()))
-        else:
-            chart = eta_opposite if args.opposite else eta
-            try:
-                out = chart(spec, ZElement.from_coords(args.point))
-            except ValueError:
-                # the exhaustive peel fails exactly on non-members, and a
-                # non-member is named before a word that is not a longest word
-                _require_member(spec, args.point)
-                raise
+            out = out.coords(max(num_positive_roots(cartan), out.support_max()))
         data = {"point": list(args.point), args.command: list(out)}
         _emit(args, meta, data, [out])
         return 0

@@ -14,18 +14,18 @@ side.
 The starred-eps cut is swept safely because starred eps never decreases
 under a lowering operator, so along a single-letter sweep the first
 violation ends the ray.  Every element the cut decides is reached by
-lowering from zero, so it is a member by construction and its partner
-is built without a membership check, once per distinct element per
-stage.
+lowering from zero, starred eps (0, ..., 0), so the cut carries each
+element's starred eps down its ray, one step of the Kashiwara-Saito
+rule per lowering step, and never builds a star partner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .binfinity import _star_of_member, string_param
+from .binfinity import string_param
 from .rootdata import CartanMatrix, ReducedWord, WeightVec, is_reduced, num_positive_roots
-from .zcrystal import LambdaTwist, SequenceSpec, ZElement, eps, ftilde, twist_ftilde
+from .zcrystal import LambdaTwist, SequenceSpec, ZElement, ftilde_starred, twist_ftilde
 
 
 @dataclass(frozen=True)
@@ -83,35 +83,32 @@ def btilde_cut(cartan: CartanMatrix, word: ReducedWord, lam: WeightVec) -> Demaz
     """Word-supported image elements whose starred eps respects the weight caps.
 
     Sweeps the plain sequence-crystal lowering operators stage by stage,
-    starting from zero; a ray is cut at the first element whose star
-    partner has eps over the cap at the ray's letter.  Lowering at i
-    leaves the starred eps of every other letter unchanged
-    (Kashiwara-Saito, Duke Math. J. 89, 1997, 3.2) and every start of a
-    stage is admissible, so only the ray's own letter is compared.
-    Monotonicity of starred eps under lowering makes the first violation
-    final along a ray, so no admissible element is missed.  A ray also
-    stops at an element the stage already holds: the rest of the ray
-    depends on that element alone, and is walked from it, either as a
-    start of the stage or by the ray that added it.
+    starting from zero, and carries each element's starred eps (the eps
+    of its star partner) with it: ``ftilde_starred`` updates it on the
+    scan that places the step (Kashiwara-Saito, Duke Math. J. 89, 1997,
+    3.2), so no partner is built.  A ray is cut at the first element
+    whose starred eps at the ray's letter is over the cap.  Lowering at i
+    leaves the starred eps of every other letter unchanged and every
+    start of a stage is admissible, so only the ray's own letter is
+    compared.  Monotonicity of starred eps under lowering makes the first
+    violation final along a ray, so no admissible element is missed.  A
+    ray also stops at an element the stage already holds: the rest of
+    the ray depends on that element alone, and is walked from it, either
+    as a start of the stage or by the ray that added it.
     """
     _validate(cartan, word, lam)
     spec = SequenceSpec(cartan, word)
     r = len(word.letters)
-
-    def admissible(y: ZElement, i: int) -> bool:
-        return eps(spec, _star_of_member(spec, y), i) <= lam[i]
-
-    current = {ZElement.zero()}
+    current = {ZElement.zero(): (0,) * cartan.rank}  # element -> its starred eps
     for k in range(1, r + 1):
         i = word[k]
-        swept = set(current)
-        for x in current:
-            y = x
+        swept = dict(current)
+        for y, starred in current.items():
             while True:
-                y = ftilde(spec, y, i)
-                if y in swept or not admissible(y, i):
+                y, starred = ftilde_starred(spec, y, i, starred)
+                if y in swept or starred[i - 1] > lam[i]:
                     break
-                swept.add(y)
+                swept[y] = starred
         current = swept
     return DemazureSet(word, lam, frozenset(x.coords(r) for x in current))
 

@@ -23,6 +23,11 @@ step at position q moves sigma_q by 1, every earlier sigma of the same
 letter by 2 and no later one, and the run updates the scanned values in
 place.  A single lowering or raising step is a run of length one.
 
+On members, ``ftilde_starred`` also carries the starred eps (the eps of
+the star partner) through a lowering step on the same scan, by the
+one-step rule of Kashiwara and Saito (Duke Math. J. 89, 1997, 3.2), so
+no star partner has to be built to read it.
+
 A dominant-weight twist glues a one-element crystal onto the right-hand
 side; the tensor rule then cuts the lowering directions, which is what
 makes the twisted crystal finite.
@@ -253,6 +258,22 @@ def _raise(x: ZElement, positions: list[int], sigmas: list[int],
             sigmas[t] -= 2
         count += 1
     return (ZElement.from_coords(values) if count else x), count
+
+
+def ftilde_starred(spec: SequenceSpec, x: ZElement, i: int,
+                   starred: tuple[int, ...]) -> tuple[ZElement, tuple[int, ...]]:
+    """f_i x and its starred eps, given the starred eps of a member x (one scan).
+
+    ``starred[j - 1]`` is eps_j of the star partner of x.  Lowering at i
+    leaves every entry j != i alone, and raises entry i by 1 exactly when
+    eps_i(x) + eps*_i(x) + <h_i, wt x> is 0, its least value
+    (Kashiwara-Saito, Duke Math. J. 89, 1997, 3.2); the scan gives eps_i
+    and minus the weight pairing.
+    """
+    positions, sigmas, paired = _scan(spec, x, i)
+    if max([0, *sigmas]) + starred[i - 1] == paired:
+        starred = (*starred[:i - 1], starred[i - 1] + 1, *starred[i:])
+    return _lower(spec, x, i, 1, positions, sigmas), starred
 
 
 def ftilde_run(spec: SequenceSpec, x: ZElement, i: int, a: int) -> ZElement:

@@ -10,7 +10,7 @@ from crystal_polytope import zcrystal
 from crystal_polytope.binfinity import (_star_of_member, eta, eta_opposite, membership, star,
                                         string_param)
 from crystal_polytope.rootdata import ReducedWord, cartan_builtin
-from crystal_polytope.zcrystal import SequenceSpec, ZElement, eps, ftilde
+from crystal_polytope.zcrystal import SequenceSpec, ZElement, eps, ftilde, ftilde_starred
 
 from reference import greedy_membership
 
@@ -194,6 +194,36 @@ def test_eta_rejects_exactly_the_non_members(data):
 def test_membership_by_runs_matches_step_by_step_raising(data):
     spec, x = data
     assert membership(spec, x) == greedy_membership(spec, x)
+
+
+LADDER_WORDS = [("A", 2, (1, 2, 1)), ("C", 2, (1, 2, 1, 2)), ("G", 2, (1, 2, 1, 2, 1, 2)),
+                ("A", 3, (1, 2, 1, 3, 2, 1)), ("B", 3, (1, 2, 1, 3, 2, 1, 3, 2, 3)),
+                ("C", 3, (1, 2, 1, 3, 2, 1, 3, 2, 3))]
+
+
+@st.composite
+def prefix_spec_and_lowering_path(draw):
+    """A prefix of a ladder word and up to 15 letters to lower by from zero.
+
+    On a proper prefix the path soon leaves the word for the tail positions.
+    """
+    family, rank, letters = draw(st.sampled_from(LADDER_WORDS))
+    r = draw(st.integers(1, len(letters)))
+    spec = SequenceSpec(cartan_builtin(family, rank), ReducedWord(letters[:r]))
+    return spec, draw(st.lists(st.integers(1, rank), max_size=15))
+
+
+@settings(max_examples=300, deadline=None)
+@given(prefix_spec_and_lowering_path())
+def test_carried_starred_eps_is_the_eps_of_the_star_partner(data):
+    spec, path = data
+    x, starred = ZElement.zero(), (0,) * spec.cartan.rank
+    for i in path:
+        lowered, starred = ftilde_starred(spec, x, i, starred)
+        assert lowered == ftilde(spec, x, i)
+        x = lowered
+        partner = star(spec, x)
+        assert starred == tuple(eps(spec, partner, j) for j in spec.cartan.index_set()), (x, i)
 
 
 def test_star_partner_costs_one_scan_per_nonzero_coordinate(monkeypatch):

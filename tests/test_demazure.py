@@ -1,16 +1,14 @@
 """Finite crystal slices: sweep enumeration, the cut route, string data."""
 
-import random
-
 import pytest
 
-from crystal_polytope import demazure
+from crystal_polytope import binfinity, demazure, zcrystal
 from crystal_polytope.binfinity import membership, star
 from crystal_polytope.demazure import (DemazureSet, btilde_cut, enumerate_demazure,
                                        string_points)
 from crystal_polytope.rootdata import (ReducedWord, WeightVec, cartan_builtin,
-                                       fundamental, rho, weyl_dim_oracle)
-from crystal_polytope.zcrystal import SequenceSpec, ZElement, eps, ftilde
+                                       fundamental, rho, root_to_weight, weyl_dim_oracle)
+from crystal_polytope.zcrystal import SequenceSpec, ZElement, eps, ftilde, wt
 from reference import all_reduced_words_longest
 
 A2 = cartan_builtin("A", 2)
@@ -69,61 +67,72 @@ def test_cut_route_agrees_with_sweep_route(family, rank, letters, weights):
             assert left.coords == right.coords, (letters[:r], lam)
 
 
+def starred_eps(spec, x):
+    """The oracle: eps of the star partner, letter by letter."""
+    partner = star(spec, x)
+    return tuple(eps(spec, partner, j) for j in spec.cartan.index_set())
+
+
 @pytest.mark.parametrize("family,rank,letters", [
     ("A", 2, (1, 2, 1)), ("C", 2, (1, 2, 1, 2)), ("G", 2, (1, 2, 1, 2, 1, 2)),
     ("A", 3, (1, 2, 1, 3, 2, 1)), ("B", 3, (1, 2, 1, 3, 2, 1, 3, 2, 3)),
     ("C", 3, (1, 2, 1, 3, 2, 1, 3, 2, 3)),
 ])
-def test_lowering_leaves_the_starred_eps_of_other_letters_alone(family, rank, letters):
-    # eps*_j(f_i b) == eps*_j(b) for i != j (Kashiwara-Saito, Duke Math. J. 89, 1997)
+def test_lowering_moves_the_starred_eps_by_the_kashiwara_saito_rule(family, rank, letters):
+    # on B(infinity) eps_i + eps*_i + <h_i, wt> >= 0; f_i raises eps*_i by 1
+    # exactly when that sum is 0 and leaves eps*_j alone for j != i
+    # (Kashiwara-Saito, Duke Math. J. 89, 1997, 3.2); every element of the
+    # slice of every prefix at rho, on the prefix's own index sequence
     cartan = cartan_builtin(family, rank)
-    spec = SequenceSpec(cartan, ReducedWord(letters))
-    slice_ = enumerate_demazure(cartan, ReducedWord(letters), rho(rank)).sorted_coords()
-    for coords in random.Random(sum(letters) * rank).sample(slice_, min(40, len(slice_))):
-        x = ZElement.from_coords(coords)
-        partner = star(spec, x)
-        for i in cartan.index_set():
-            lowered = star(spec, ftilde(spec, x, i))
-            for j in cartan.index_set():
-                if j != i:
-                    assert eps(spec, lowered, j) == eps(spec, partner, j), (coords, i, j)
-
-
-def test_cut_route_decides_each_member_once(monkeypatch):
-    G2 = cartan_builtin("G", 2)
-    C3 = cartan_builtin("C", 3)
-    star_of_member, ftilde = demazure._star_of_member, demazure.ftilde
-
-    def forbidden(*args):
-        raise AssertionError("the cut route used a twisted operator")
-
-    for cartan, word, lam in ((C2, W_C2, RHO2.scale(2)),
-                              (G2, ReducedWord((1, 2, 1, 2, 1, 2)), RHO2),
-                              (C3, ReducedWord((1, 2, 1, 3, 2, 1, 3, 2, 3)), rho(3))):
+    for r in range(1, len(letters) + 1):
+        word = ReducedWord(letters[:r])
         spec = SequenceSpec(cartan, word)
-        partners, lowered = [], 0
+        for coords in enumerate_demazure(cartan, word, rho(rank)).coords:
+            x = ZElement.from_coords(coords)
+            starred = starred_eps(spec, x)
+            weight = root_to_weight(cartan, wt(spec, x))
+            for i in cartan.index_set():
+                total = eps(spec, x, i) + starred[i - 1] + weight[i]
+                assert total >= 0, (letters[:r], coords, i)
+                step = 1 if total == 0 else 0
+                expected = (*starred[:i - 1], starred[i - 1] + step, *starred[i:])
+                assert starred_eps(spec, ftilde(spec, x, i)) == expected, (letters[:r], coords, i)
 
-        def partner(spec_arg, x):
-            partners.append(x)
-            return star_of_member(spec_arg, x)
 
-        def lowering(*args):
-            nonlocal lowered
-            lowered += 1
-            return ftilde(*args)
+# lowering steps the cut makes on each chart: a ray ends one step past the
+# cap or at an element its stage already holds, so the count pins the rays
+CUT_STEPS = [(C2, W_C2, RHO2.scale(2), 142),
+             (cartan_builtin("G", 2), ReducedWord((1, 2, 1, 2, 1, 2)), RHO2, 174),
+             (cartan_builtin("C", 3), ReducedWord((1, 2, 1, 3, 2, 1, 3, 2, 3)), rho(3), 1523)]
 
-        with monkeypatch.context() as m:
-            m.setattr(demazure, "_star_of_member", partner)
-            m.setattr(demazure, "ftilde", lowering)
-            for name in ("twist_ftilde", "LambdaTwist"):
-                m.setattr(demazure, name, forbidden)
-            got = btilde_cut(cartan, word, lam).coords
-        assert got == enumerate_demazure(cartan, word, lam).coords
-        # the partner builder skips the membership check, so it must only
-        # ever see members
-        assert all(membership(spec, x) for x in partners)
-        # elements a stage already holds are not decided again
-        assert 0 < len(partners) < lowered, (len(partners), lowered)
+
+@pytest.mark.parametrize("cartan,word,lam,steps", CUT_STEPS,
+                         ids=["C2 2rho", "G2 rho", "C3 rho"])
+def test_cut_route_builds_no_star_partner(monkeypatch, cartan, word, lam, steps):
+    expected = enumerate_demazure(cartan, word, lam).coords
+
+    def forbidden(name):
+        def call(*args):
+            raise AssertionError(f"the cut route called {name}")
+        return call
+
+    lowered = 0
+    carry = demazure.ftilde_starred
+
+    def lowering(*args):
+        nonlocal lowered
+        lowered += 1
+        return carry(*args)
+
+    for name in ("_star_of_member", "star"):
+        monkeypatch.setattr(binfinity, name, forbidden(name))
+    for module, names in ((demazure, ("LambdaTwist", "twist_ftilde")),
+                          (zcrystal, ("LambdaTwist", "twist_ftilde", "twist_etilde"))):
+        for name in names:
+            monkeypatch.setattr(module, name, forbidden(name))
+    monkeypatch.setattr(demazure, "ftilde_starred", lowering)
+    assert btilde_cut(cartan, word, lam).coords == expected
+    assert lowered == steps
 
 
 def test_sweep_is_word_order_sensitive_but_longest_is_not():

@@ -7,8 +7,8 @@ from crystal_polytope.rootdata import (ReducedWord, WeightVec, cartan_builtin,
                                        root_to_weight, simple_root)
 from crystal_polytope import zcrystal
 from crystal_polytope.zcrystal import (LambdaTwist, SequenceSpec, ZElement, eps,
-                                       etilde, etilde_max, ftilde, ftilde_run, letter_max, phi,
-                                       twist_eps, twist_etilde, twist_ftilde,
+                                       etilde, etilde_max, ftilde, ftilde_run, ftilde_starred,
+                                       letter_max, phi, twist_eps, twist_etilde, twist_ftilde,
                                        twist_phi, twist_wt, wt)
 from reference import lowering_step, raising_step, sigma_k
 
@@ -259,8 +259,10 @@ def test_raising_run_is_repeated_raising(data):
 @pytest.mark.parametrize("call", [
     lambda t: phi(t.spec, t.body, 1), lambda t: etilde(t.spec, t.body, 1),
     lambda t: etilde_max(t.spec, t.body, 1), lambda t: ftilde(t.spec, t.body, 1),
+    lambda t: ftilde_starred(t.spec, t.body, 1, (1, 0)),
     lambda t: twist_eps(t, 1), lambda t: twist_etilde(t, 1), lambda t: twist_ftilde(t, 1)],
-    ids=["phi", "etilde", "etilde_max", "ftilde", "twist_eps", "twist_etilde", "twist_ftilde"])
+    ids=["phi", "etilde", "etilde_max", "ftilde", "ftilde_starred", "twist_eps", "twist_etilde",
+         "twist_ftilde"])
 def test_each_statistic_and_operator_scans_once(monkeypatch, call):
     # eps, phi and the step all come from one kernel scan; (0, 1, 1) has
     # eps_1 = 1 and phi_1 = 0, so at rho every operator here moves it
