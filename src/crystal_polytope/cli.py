@@ -238,8 +238,7 @@ def _dispatch(args) -> int:
     if args.command == "ample":
         xi = _xi_for(spec, args)
         ok = ample_check(xi, lam)
-        data = {"ample": ok, "certified": xi.certified,
-                "stabilized": xi.stabilized, "num_forms": len(xi.forms)}
+        data = {"ample": ok, "certified": xi.certified, "num_forms": len(xi.forms)}
         _emit(args, meta, data, [[int(ok)]])
         return 0
 
@@ -261,6 +260,9 @@ def _theorem_check(args, cartan, spec, word, lam, meta) -> int:
     type_a = cartan == cartan_builtin("A", cartan.rank)
     if args.degree_cap is not None and not type_a:
         raise ValueError("--degree-cap checks the valuation side, which exists for type A only")
+    # the closure does not depend on the weight and may be refused: build it
+    # before either route, so a refusal comes first
+    xi = _xi_for(spec, args)
     checks = []
 
     def record(name: str, ok: bool, detail: str):
@@ -280,9 +282,7 @@ def _theorem_check(args, cartan, spec, word, lam, meta) -> int:
         dim = weyl_dim_oracle(cartan, lam)
         record("dimension", len(dem) == dim, f"{len(dem)} points vs oracle {dim}")
 
-    xi = _xi_for(spec, args)
-    record("closure_certified", xi.certified,
-           f"{len(xi.forms)} forms, stabilized={xi.stabilized}")
+    record("closure_certified", xi.certified, f"{len(xi.forms)} forms")
     ample = ample_check(xi, lam)
     if not xi.certified:
         detail = "closure not certified"

@@ -1,15 +1,17 @@
 """Finite crystal slices cut out by a word, enumerated two independent ways.
 
 Route one sweeps lowering operators stage by stage through the twisted
-crystal: starting from the highest element, stage k closes the set
-under the lowering operator of the k-th letter.  Route two enumerates
-the word-supported part of the big crystal's image and keeps elements
-whose starred eps, the eps of their star partner, stays within the
-weight caps.  Both routes land on the same coordinate vectors; the
-second never consults the twisted operators, which is what makes the
-agreement a real check.  String data is peeled from a slice the caller
-has already cut, so one cut serves both the route check and the string
-side.
+crystal, the sequence crystal tensored with the one-point crystal of
+the weight: starting from the highest element, stage k closes the set
+under the lowering operator of the k-th letter.  It steps bare
+elements, and the weight enters a step only as its entry at the
+step's letter.  Route two enumerates the word-supported part of the
+big crystal's image and keeps elements whose starred eps, the eps of
+their star partner, stays within the weight caps.  Both routes land on
+the same coordinate vectors; the second never consults the twisted
+operators, which is what makes the agreement a real check.  String
+data is peeled from a slice the caller has already cut, so one cut
+serves both the route check and the string side.
 
 The starred-eps cut is swept safely because starred eps never decreases
 under a lowering operator, so along a single-letter sweep the first
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 from .binfinity import string_param
 from .rootdata import CartanMatrix, ReducedWord, WeightVec, is_reduced, num_positive_roots
-from .zcrystal import LambdaTwist, SequenceSpec, ZElement, ftilde_starred, twist_ftilde
+from .zcrystal import SequenceSpec, ZElement, ftilde_starred, twist_ftilde
 
 
 @dataclass(frozen=True)
@@ -56,9 +58,11 @@ def enumerate_demazure(cartan: CartanMatrix, word: ReducedWord, lam: WeightVec) 
     """Stagewise lowering sweep through the twisted crystal.
 
     Stage k replaces the current set by the union of the full lowering
-    rays (letter = k-th word letter) through its elements.  Elements are
-    twisted-crystal elements; their bodies stay supported on the first
-    k positions, which the coordinate extraction asserts.
+    rays (letter i = k-th word letter) through its elements.  Each
+    element stands for itself tensored with the one-point crystal of
+    lam, so a step reads only lam_i, and a ray ends where the tensor
+    rule hands the step to that factor.  The elements stay supported
+    on the first k positions, which the coordinate extraction asserts.
     """
     _validate(cartan, word, lam)
     spec = SequenceSpec(cartan, word)
@@ -68,13 +72,8 @@ def enumerate_demazure(cartan: CartanMatrix, word: ReducedWord, lam: WeightVec) 
         i = word[k]
         swept = set(current)
         for x in current:
-            t = LambdaTwist(spec, x, lam)
-            while True:
-                t2 = twist_ftilde(t, i)
-                if t2 is None:
-                    break
-                swept.add(t2.body)
-                t = t2
+            while (x := twist_ftilde(spec, x, i, lam[i])) is not None:
+                swept.add(x)
         current = swept
     return DemazureSet(word, lam, frozenset(x.coords(r) for x in current))
 

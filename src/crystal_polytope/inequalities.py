@@ -17,9 +17,9 @@ inequality system whose nonnegativity locus is the twisted polytope,
 provided every constant stays nonnegative at the chosen weight (the
 ampleness check).
 
-Certification is computational: the closure must stabilize within the
-round cap, and re-running it with the scan window extended by the rank
-must leave the forms unchanged after restriction to the word positions.
+Certification is computational: re-running the closure with the scan
+window extended by the rank must leave the forms unchanged after
+restriction to the word positions.
 The closure keeps those restrictions, the delta forms: ampleness reads
 them, and each gives one integer row at a weight.  Past the form cap a
 closure is refused as diverging.
@@ -33,7 +33,6 @@ from .polytope import HalfSpaceSystem
 from .rootdata import WeightVec
 from .zcrystal import SequenceSpec
 
-CLOSURE_ROUNDS = 50  # cap on the descent rounds of one closure
 CLOSURE_FORMS = 20_000  # cap on the forms of one closure; past it the closure is refused
 
 
@@ -135,12 +134,11 @@ def shat(table: list, psi: AffineForm, k: int) -> AffineForm:
 
 @dataclass(frozen=True)
 class XiSet:
-    """Closure of the seed forms under descent, with certification flags."""
+    """Closure of the seed forms under descent, with its certification flag."""
 
     spec: SequenceSpec
     window: int
     forms: frozenset
-    stabilized: bool
     certified: bool
     delta: tuple  # the nonzero restrictions of the forms to the word positions, sorted
 
@@ -153,19 +151,18 @@ def _cap_error(spec: SequenceSpec, window: int) -> ValueError:
 def _close(spec: SequenceSpec, window: int):
     # Only last round's forms are descended, only at window positions of their support:
     # older forms' descents are in already, and a zero coefficient leaves a form as it is.
+    # Every round but the last adds a form, so the form cap also bounds the rounds.
     table, seeds = descent_templates(spec, window)
     forms = set(seeds)
     fresh = set(forms)
-    for _ in range(CLOSURE_ROUNDS):
+    while fresh:
         fresh = {out for psi in fresh for k, _ in psi.coeffs
                  if k <= window and not (out := shat(table, psi, k)).is_zero()
                  and out not in forms}
-        if not fresh:
-            return forms, True
         forms |= fresh
         if len(forms) > CLOSURE_FORMS:
             raise _cap_error(spec, window)
-    return forms, False
+    return forms
 
 
 def generate_xi(spec: SequenceSpec, window: int) -> XiSet:
@@ -173,9 +170,9 @@ def generate_xi(spec: SequenceSpec, window: int) -> XiSet:
 
     Certification re-runs the closure with the window extended by the
     rank; the two closures must restrict to the same form set on the
-    base word's positions.  A closure that fails either check is
-    returned uncertified rather than rejected; one that passes the form
-    cap raises.
+    base word's positions.  A closure that fails this check is returned
+    uncertified rather than rejected; one that passes the form cap
+    raises.
     """
     r = len(spec.base.letters)
     if window < r:
@@ -184,13 +181,10 @@ def generate_xi(spec: SequenceSpec, window: int) -> XiSet:
         # the closure starts from window + rank distinct seeds, and its first round
         # adds the descent of a_1, which no seed equals: refuse before building them
         raise _cap_error(spec, window)
-    forms, stabilized = _close(spec, window)
+    forms = _close(spec, window)
     delta = _restricted(forms, r)
-    certified = False
-    if stabilized:
-        bumped, stab2 = _close(spec, window + spec.cartan.rank)
-        certified = stab2 and delta == _restricted(bumped, r)
-    return XiSet(spec, window, frozenset(forms), stabilized, certified, tuple(sorted(delta)))
+    certified = delta == _restricted(_close(spec, window + spec.cartan.rank), r)
+    return XiSet(spec, window, frozenset(forms), certified, tuple(sorted(delta)))
 
 
 def ample_check(xi: XiSet, lam: WeightVec) -> bool:

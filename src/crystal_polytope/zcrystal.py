@@ -28,16 +28,19 @@ the star partner) through a lowering step on the same scan, by the
 one-step rule of Kashiwara and Saito (Duke Math. J. 89, 1997, 3.2), so
 no star partner has to be built to read it.
 
-A dominant-weight twist glues a one-element crystal onto the right-hand
-side; the tensor rule then cuts the lowering directions, which is what
-makes the twisted crystal finite.
+A dominant weight lam twists the crystal: an element x stands for x
+tensored with the one-point crystal of lam, whose eps_i is -lam_i and
+which every operator kills.  By the tensor rule the twisted operators
+act on the bare x and read lam only through the cap lam_i; the rule
+cuts the lowering directions, which is what makes the twisted crystal
+finite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rootdata import CartanMatrix, ReducedWord, RootCombo, WeightVec, root_to_weight
+from .rootdata import CartanMatrix, ReducedWord, RootCombo
 
 
 @dataclass(frozen=True)
@@ -292,56 +295,26 @@ def etilde_max(spec: SequenceSpec, x: ZElement, i: int) -> tuple[ZElement, int]:
     return _raise(x, positions, sigmas, None)
 
 
-@dataclass(frozen=True)
-class LambdaTwist:
-    """A sequence-crystal element tensored with the one-point crystal of lam.
+def twist_etilde(spec: SequenceSpec, x: ZElement, i: int, cap: int) -> ZElement | None:
+    """Twisted raising, cap = lam_i: raise x when its phi is >= -cap (one scan).
 
-    The right factor r has wt(r) = lam, eps_i(r) = -lam_i, phi_i(r) = 0
-    and is annihilated by all operators; the tensor rule below routes
-    every operator to the left factor or to the wall.
+    Otherwise the tensor rule hands the step to the one-point factor,
+    which the operator kills.
     """
-
-    spec: SequenceSpec
-    body: ZElement
-    lam: WeightVec
-
-    def __post_init__(self):
-        if self.lam.rank != self.spec.cartan.rank:
-            raise ValueError("weight rank does not match Cartan rank")
-        if not self.lam.is_dominant():
-            raise ValueError("twist weight must be dominant")
+    positions, sigmas, paired = _scan(spec, x, i)
+    if max([0, *sigmas]) - paired >= -cap:
+        raised, count = _raise(x, positions, sigmas, 1)
+        return raised if count else None
+    return None
 
 
-def twist_wt(t: LambdaTwist) -> WeightVec:
-    return root_to_weight(t.spec.cartan, wt(t.spec, t.body)).add(t.lam)
+def twist_ftilde(spec: SequenceSpec, x: ZElement, i: int, cap: int) -> ZElement | None:
+    """Twisted lowering, cap = lam_i: lower x only when its phi is > -cap.
 
-
-def twist_eps(t: LambdaTwist, i: int) -> int:
-    """The larger of the body's eps and the right factor's eps minus the body's weight."""
-    _, sigmas, paired = _scan(t.spec, t.body, i)
-    return max(0, *sigmas, paired - t.lam[i])
-
-
-def twist_phi(t: LambdaTwist, i: int) -> int:
-    return max(0, phi(t.spec, t.body, i) + t.lam[i])
-
-
-def twist_etilde(t: LambdaTwist, i: int) -> LambdaTwist | None:
-    """Tensor rule: raise the body when its phi is >= the right factor's eps (one scan)."""
-    positions, sigmas, paired = _scan(t.spec, t.body, i)
-    if max([0, *sigmas]) - paired >= -t.lam[i]:
-        raised, count = _raise(t.body, positions, sigmas, 1)
-        return LambdaTwist(t.spec, raised, t.lam) if count else None
-    return None  # routed to the one-point factor, which the operator kills
-
-
-def twist_ftilde(t: LambdaTwist, i: int) -> LambdaTwist | None:
-    """Tensor rule: lower the body only when its phi strictly beats the right factor's eps.
-
-    One kernel scan gives both: the body's phi is its eps minus the
+    One kernel scan gives both: the phi of x is its eps minus the
     pairing-weighted entry sum, and the scan's sigmas place the step.
     """
-    positions, sigmas, paired = _scan(t.spec, t.body, i)
-    if max([0, *sigmas]) - paired > -t.lam[i]:
-        return LambdaTwist(t.spec, _lower(t.spec, t.body, i, 1, positions, sigmas), t.lam)
+    positions, sigmas, paired = _scan(spec, x, i)
+    if max([0, *sigmas]) - paired > -cap:
+        return _lower(spec, x, i, 1, positions, sigmas)
     return None

@@ -20,8 +20,10 @@ The crystal kernel is checked against sigma_k, computed position by
 position from its definition: the maxima of ``zcrystal.letter_max``
 against its kernel scan, and a lowering and a raising step read off
 every sigma_k against the runs of ``zcrystal._lower`` and
-``zcrystal._raise`` and their in-place updates.  None of these calls a
-``zcrystal`` operator.
+``zcrystal._raise`` and their in-place updates, and the weight and
+statistics of a twisted element, by the tensor rule over sigma_k,
+against ``zcrystal.twist_ftilde`` and ``zcrystal.twist_etilde``.  None
+of these calls a ``zcrystal`` operator.
 """
 
 import itertools
@@ -365,3 +367,24 @@ def raising_step(spec: SequenceSpec, x: ZElement, i: int) -> ZElement | None:
     if best == 0:
         return None
     return x.bump(max(k for k, s in sigmas.items() if s == best), -1)
+
+
+def twisted_statistics(spec: SequenceSpec, x: ZElement, i: int, lam: WeightVec) -> tuple:
+    """Weight, eps_i and phi_i of x tensored with the one-point crystal of lam.
+
+    The body's eps_i is the max of 0 and its letter-i sigma_k, and its
+    weight pairs with h_i to minus the pairing-weighted entry sum, so
+    its phi_i is eps_i plus that pairing.  The one-point factor has
+    weight lam, eps_i = -lam_i and phi_i = 0, and the tensor rule
+    (Kashiwara, Duke Math. J. 71, 1993) gives wt = wt x + lam,
+    eps_i = max(eps_i x, -lam_i - <h_i, wt x>) and
+    phi_i = max(0, phi_i x + lam_i).
+    """
+    cartan = spec.cartan
+    body_eps = max([0, *(sigma_k(spec, x, k) for k in range(1, x.support_max() + 1)
+                         if spec.letter(k) == i)])
+    weight = tuple(-sum(cartan.pairing(j, spec.letter(k)) * v for k, v in enumerate(x.values, 1))
+                   for j in cartan.index_set())
+    body_phi = body_eps + weight[i - 1]
+    twisted_weight = WeightVec(tuple(w + l for w, l in zip(weight, lam.coords)))
+    return twisted_weight, max(body_eps, -lam[i] - weight[i - 1]), max(0, body_phi + lam[i])

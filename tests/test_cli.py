@@ -359,7 +359,7 @@ def test_ample_subcommand(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["data"] == {"ample": True, "certified": True,
-                           "stabilized": True, "num_forms": doc["data"]["num_forms"]}
+                           "num_forms": doc["data"]["num_forms"]}
 
 
 def test_theorem_check_passes_c2(capsys):
@@ -379,7 +379,7 @@ THEOREM_CHECK_STDOUT = {
     ("A", "2", "1,2,1", "1,1", ()): (
         '{"data": {"checks": [{"detail": "8 twisted-sweep points vs 8 cut points", '
         '"name": "route_agreement", "pass": true}, {"detail": "8 points vs oracle 8", '
-        '"name": "dimension", "pass": true}, {"detail": "11 forms, stabilized=True", '
+        '"name": "dimension", "pass": true}, {"detail": "11 forms", '
         '"name": "closure_certified", "pass": true}, '
         '{"detail": "constants nonnegative at this weight", "name": "ample", '
         '"pass": true}, {"detail": "8 lattice points vs 8 crystal points", '
@@ -395,7 +395,7 @@ THEOREM_CHECK_STDOUT = {
     ("C", "2", "1,2,1,2", "1,1", ()): (
         '{"data": {"checks": [{"detail": "16 twisted-sweep points vs 16 cut points", '
         '"name": "route_agreement", "pass": true}, {"detail": "16 points vs oracle 16", '
-        '"name": "dimension", "pass": true}, {"detail": "17 forms, stabilized=True", '
+        '"name": "dimension", "pass": true}, {"detail": "17 forms", '
         '"name": "closure_certified", "pass": true}, '
         '{"detail": "constants nonnegative at this weight", "name": "ample", '
         '"pass": true}, {"detail": "16 lattice points vs 16 crystal points", '
@@ -409,7 +409,7 @@ THEOREM_CHECK_STDOUT = {
     ("C", "2", "1,2,1,2", "2,2", ()): (
         '{"data": {"checks": [{"detail": "81 twisted-sweep points vs 81 cut points", '
         '"name": "route_agreement", "pass": true}, {"detail": "81 points vs oracle 81", '
-        '"name": "dimension", "pass": true}, {"detail": "17 forms, stabilized=True", '
+        '"name": "dimension", "pass": true}, {"detail": "17 forms", '
         '"name": "closure_certified", "pass": true}, '
         '{"detail": "constants nonnegative at this weight", "name": "ample", '
         '"pass": true}, {"detail": "81 lattice points vs 81 crystal points", '
@@ -423,7 +423,7 @@ THEOREM_CHECK_STDOUT = {
     # a prefix word: the value set comes from the span of the prefix itself
     ("A", "2", "1,2", "1,1", ()): (
         '{"data": {"checks": [{"detail": "5 twisted-sweep points vs 5 cut points", '
-        '"name": "route_agreement", "pass": true}, {"detail": "8 forms, stabilized=True", '
+        '"name": "route_agreement", "pass": true}, {"detail": "8 forms", '
         '"name": "closure_certified", "pass": true}, '
         '{"detail": "constants nonnegative at this weight", "name": "ample", '
         '"pass": true}, {"detail": "5 lattice points vs 5 crystal points", '
@@ -438,7 +438,7 @@ THEOREM_CHECK_STDOUT = {
     ("A", "2", "1,2,1", "2,2", ()): (
         '{"data": {"checks": [{"detail": "27 twisted-sweep points vs 27 cut points", '
         '"name": "route_agreement", "pass": true}, {"detail": "27 points vs oracle 27", '
-        '"name": "dimension", "pass": true}, {"detail": "11 forms, stabilized=True", '
+        '"name": "dimension", "pass": true}, {"detail": "11 forms", '
         '"name": "closure_certified", "pass": true}, '
         '{"detail": "constants nonnegative at this weight", "name": "ample", '
         '"pass": true}, {"detail": "27 lattice points vs 27 crystal points", '
@@ -455,7 +455,7 @@ THEOREM_CHECK_STDOUT = {
     ("A", "2", "1,2,1", "1,1", ("--degree-cap", "2")): (
         '{"data": {"checks": [{"detail": "8 twisted-sweep points vs 8 cut points", '
         '"name": "route_agreement", "pass": true}, {"detail": "8 points vs oracle 8", '
-        '"name": "dimension", "pass": true}, {"detail": "11 forms, stabilized=True", '
+        '"name": "dimension", "pass": true}, {"detail": "11 forms", '
         '"name": "closure_certified", "pass": true}, '
         '{"detail": "constants nonnegative at this weight", "name": "ample", '
         '"pass": true}, {"detail": "8 lattice points vs 8 crystal points", '
@@ -473,7 +473,7 @@ THEOREM_CHECK_STDOUT = {
     ("A", "3", "1,2,1,3,2,1", "1,1,1", ("--degree-cap", "2")): (
         '{"data": {"checks": [{"detail": "64 twisted-sweep points vs 64 cut points", '
         '"name": "route_agreement", "pass": true}, {"detail": "64 points vs oracle 64", '
-        '"name": "dimension", "pass": true}, {"detail": "28 forms, stabilized=True", '
+        '"name": "dimension", "pass": true}, {"detail": "28 forms", '
         '"name": "closure_certified", "pass": false}, '
         '{"detail": "closure not certified", "name": "ample", '
         '"pass": false}, {"detail": "k=0:ok,k=1:ok,k=2:ok", "name": "semigroup_levels", '
@@ -621,6 +621,25 @@ def test_diverging_closure_is_refused(capsys, argv, error):
     # each closes at the word length; the certification closure, rank
     # positions wider, diverges and passes the form cap within seconds
     code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [error]
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["--type", "A", "--rank", "2", "--word", "1,2,1", "--lambda", "1,1", "--window", "2"],
+     "error: window must cover the base word"),
+    (["--type", "A", "--rank", "3", "--word", "1,2,3,2,1,2", "--lambda", "1,1,1"],
+     "error: the descent closure of word [1, 2, 3, 2, 1, 2] at window 9 passed 20000 forms"),
+])
+def test_theorem_check_refuses_the_closure_before_either_route(monkeypatch, capsys, argv, error):
+    # the closure does not depend on the weight, so a refused one must not wait
+    # for the routes, which at a large weight run for many seconds
+    def route(*args):
+        raise AssertionError("a route ran before the closure was built")
+
+    monkeypatch.setattr(cli, "enumerate_demazure", route)
+    monkeypatch.setattr(cli, "btilde_cut", route)
+    code, out, err = run(capsys, ["theorem-check", *argv])
     assert code == 1 and out == ""
     assert [line for line in err.splitlines() if line.startswith("error:")] == [error]
 

@@ -126,13 +126,37 @@ def test_cut_route_builds_no_star_partner(monkeypatch, cartan, word, lam, steps)
 
     for name in ("_star_of_member", "star"):
         monkeypatch.setattr(binfinity, name, forbidden(name))
-    for module, names in ((demazure, ("LambdaTwist", "twist_ftilde")),
-                          (zcrystal, ("LambdaTwist", "twist_ftilde", "twist_etilde"))):
+    for module, names in ((demazure, ("twist_ftilde",)),
+                          (zcrystal, ("twist_ftilde", "twist_etilde"))):
         for name in names:
             monkeypatch.setattr(module, name, forbidden(name))
     monkeypatch.setattr(demazure, "ftilde_starred", lowering)
     assert btilde_cut(cartan, word, lam).coords == expected
     assert lowered == steps
+
+
+# twisted lowering calls the sweep makes on each chart, the refused last call
+# of every ray included: the sweep has no early stop, so the count pins its rays
+SWEEP_CALLS = [(C2, W_C2, RHO2.scale(2), 179),
+               (cartan_builtin("G", 2), ReducedWord((1, 2, 1, 2, 1, 2)), RHO2, 252),
+               (cartan_builtin("C", 3), ReducedWord((1, 2, 1, 3, 2, 1, 3, 2, 3)), rho(3), 2139)]
+
+
+@pytest.mark.parametrize("cartan,word,lam,calls", SWEEP_CALLS,
+                         ids=["C2 2rho", "G2 rho", "C3 rho"])
+def test_sweep_route_walks_each_ray_to_its_refusal(monkeypatch, cartan, word, lam, calls):
+    expected = btilde_cut(cartan, word, lam).coords
+    made = 0
+    step = demazure.twist_ftilde
+
+    def lowering(*args):
+        nonlocal made
+        made += 1
+        return step(*args)
+
+    monkeypatch.setattr(demazure, "twist_ftilde", lowering)
+    assert enumerate_demazure(cartan, word, lam).coords == expected
+    assert made == calls
 
 
 def test_sweep_is_word_order_sensitive_but_longest_is_not():

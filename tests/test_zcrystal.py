@@ -6,11 +6,10 @@ from hypothesis import given, settings, strategies as st
 from crystal_polytope.rootdata import (ReducedWord, WeightVec, cartan_builtin,
                                        root_to_weight, simple_root)
 from crystal_polytope import zcrystal
-from crystal_polytope.zcrystal import (LambdaTwist, SequenceSpec, ZElement, eps,
-                                       etilde, etilde_max, ftilde, ftilde_run, ftilde_starred,
-                                       letter_max, phi, twist_eps, twist_etilde, twist_ftilde,
-                                       twist_phi, twist_wt, wt)
-from reference import lowering_step, raising_step, sigma_k
+from crystal_polytope.zcrystal import (SequenceSpec, ZElement, eps, etilde, etilde_max,
+                                       ftilde, ftilde_run, ftilde_starred, letter_max, phi,
+                                       twist_etilde, twist_ftilde, wt)
+from reference import lowering_step, raising_step, sigma_k, twisted_statistics
 
 A2 = cartan_builtin("A", 2)
 C2 = cartan_builtin("C", 2)
@@ -133,14 +132,21 @@ def test_axiom_lowering_shifts(data):
 @settings(max_examples=150, deadline=None)
 @given(spec_point_letter(), st.integers(0, 3), st.integers(0, 3))
 def test_twist_tensor_formulas(data, l1, l2):
+    # the tensor rule's statistics, read off sigma_k, against the body's own
+    # statistics; then the operators route by the same rule: the body moves
+    # when its phi beats (lowering) or meets (raising) the one-point factor's
+    # eps, -lam_i, and otherwise the factor takes the step and kills it
     spec, x, i = data
     lam = WeightVec((l1, l2) + (1,) * (spec.cartan.rank - 2))
-    t = LambdaTwist(spec, x, lam)
+    twisted_weight, twisted_eps, twisted_phi = twisted_statistics(spec, x, i, lam)
     weight = root_to_weight(spec.cartan, wt(spec, x))
-    assert twist_wt(t).coords == weight.add(lam).coords
-    assert twist_eps(t, i) == max(eps(spec, x, i), -lam[i] - weight[i])
-    assert twist_phi(t, i) == max(0, phi(spec, x, i) + lam[i])
-    assert twist_phi(t, i) == twist_eps(t, i) + twist_wt(t)[i]
+    assert twisted_weight.coords == weight.add(lam).coords
+    assert twisted_eps == max(eps(spec, x, i), -lam[i] - weight[i])
+    assert twisted_phi == max(0, phi(spec, x, i) + lam[i])
+    assert twisted_phi == twisted_eps + twisted_weight[i]
+    body_phi = phi(spec, x, i)
+    assert twist_ftilde(spec, x, i, lam[i]) == (ftilde(spec, x, i) if body_phi > -lam[i] else None)
+    assert twist_etilde(spec, x, i, lam[i]) == (etilde(spec, x, i) if body_phi >= -lam[i] else None)
 
 
 @settings(max_examples=150, deadline=None)
@@ -148,21 +154,23 @@ def test_twist_tensor_formulas(data, l1, l2):
 def test_twist_operator_pairing(data, l1, l2):
     spec, x, i = data
     lam = WeightVec((l1, l2) + (1,) * (spec.cartan.rank - 2))
-    t = LambdaTwist(spec, x, lam)
-    lowered = twist_ftilde(t, i)
-    assert (lowered is None) == (twist_phi(t, i) == 0)
+    weight, eps_x, phi_x = twisted_statistics(spec, x, i, lam)
+    lowered = twist_ftilde(spec, x, i, lam[i])
+    assert (lowered is None) == (phi_x == 0)
     if lowered is not None:
-        assert twist_etilde(lowered, i) == t
-        assert twist_wt(lowered).coords == tuple(
-            twist_wt(t)[j] - spec.cartan.pairing(j, i)
+        assert twist_etilde(spec, lowered, i, lam[i]) == x
+        weight_down, eps_down, phi_down = twisted_statistics(spec, lowered, i, lam)
+        assert weight_down.coords == tuple(
+            weight[j] - spec.cartan.pairing(j, i)
             for j in spec.cartan.index_set())
-        assert twist_eps(lowered, i) == twist_eps(t, i) + 1
-        assert twist_phi(lowered, i) == twist_phi(t, i) - 1
-    raised = twist_etilde(t, i)
+        assert eps_down == eps_x + 1
+        assert phi_down == phi_x - 1
+    raised = twist_etilde(spec, x, i, lam[i])
     if raised is not None:
-        assert twist_ftilde(raised, i) == t
-        assert twist_eps(raised, i) == twist_eps(t, i) - 1
-        assert twist_phi(raised, i) == twist_phi(t, i) + 1
+        assert twist_ftilde(spec, raised, i, lam[i]) == x
+        _, eps_up, phi_up = twisted_statistics(spec, raised, i, lam)
+        assert eps_up == eps_x - 1
+        assert phi_up == phi_x + 1
 
 
 def tail_by_steps(base, n, count):
@@ -257,15 +265,15 @@ def test_raising_run_is_repeated_raising(data):
 
 
 @pytest.mark.parametrize("call", [
-    lambda t: phi(t.spec, t.body, 1), lambda t: etilde(t.spec, t.body, 1),
-    lambda t: etilde_max(t.spec, t.body, 1), lambda t: ftilde(t.spec, t.body, 1),
-    lambda t: ftilde_starred(t.spec, t.body, 1, (1, 0)),
-    lambda t: twist_eps(t, 1), lambda t: twist_etilde(t, 1), lambda t: twist_ftilde(t, 1)],
-    ids=["phi", "etilde", "etilde_max", "ftilde", "ftilde_starred", "twist_eps", "twist_etilde",
+    lambda s, x: phi(s, x, 1), lambda s, x: etilde(s, x, 1),
+    lambda s, x: etilde_max(s, x, 1), lambda s, x: ftilde(s, x, 1),
+    lambda s, x: ftilde_starred(s, x, 1, (1, 0)), lambda s, x: eps(s, x, 1),
+    lambda s, x: twist_etilde(s, x, 1, 1), lambda s, x: twist_ftilde(s, x, 1, 1)],
+    ids=["phi", "etilde", "etilde_max", "ftilde", "ftilde_starred", "eps", "twist_etilde",
          "twist_ftilde"])
 def test_each_statistic_and_operator_scans_once(monkeypatch, call):
     # eps, phi and the step all come from one kernel scan; (0, 1, 1) has
-    # eps_1 = 1 and phi_1 = 0, so at rho every operator here moves it
+    # eps_1 = 1 and phi_1 = 0, so at the cap rho_1 = 1 every operator here moves it
     scans = []
     original = zcrystal._scan
 
@@ -274,6 +282,6 @@ def test_each_statistic_and_operator_scans_once(monkeypatch, call):
         return original(*args)
 
     monkeypatch.setattr(zcrystal, "_scan", counted)
-    call(LambdaTwist(SPEC_A2, ZElement.from_coords((0, 1, 1)), WeightVec((1, 1))))
+    call(SPEC_A2, ZElement.from_coords((0, 1, 1)))
     assert len(scans) == 1
 
