@@ -63,24 +63,19 @@ def _star_of_member(spec: SequenceSpec, x: ZElement) -> ZElement:
     return out
 
 
-def string_param(
-    spec: SequenceSpec,
-    x: ZElement,
-    direction: tuple[int, ...],
-    require_exhaustive: bool = False,
-) -> tuple[int, ...]:
+def string_param(spec: SequenceSpec, x: ZElement, direction: tuple[int, ...]) -> tuple[int, ...]:
     """Raise to the top along the given letters, recording how far each step went.
 
     Step t records eps at the t-th letter, then applies the raising
-    operator that many times.  With ``require_exhaustive`` the residue
-    after the last step must be the zero element.
+    operator that many times.  The residue after the last step must be
+    the zero element; otherwise ``ValueError`` names it.
     """
     out = []
     cur = x
     for i in direction:
         cur, count = etilde_max(spec, cur, i)
         out.append(count)
-    if require_exhaustive and not cur.is_zero():
+    if not cur.is_zero():
         raise ValueError(f"string peeling left a nonzero residue {cur!r} after letters {direction}")
     return tuple(out)
 
@@ -95,7 +90,7 @@ def _longest_word_string(spec: SequenceSpec, x: ZElement,
     n = num_positive_roots(spec.cartan)
     if len(spec.base.letters) != n or not is_reduced(spec.cartan, spec.base):
         raise ValueError("base word must be a reduced word for the longest element")
-    return string_param(spec, x, direction, require_exhaustive=True)
+    return string_param(spec, x, direction)
 
 
 def eta(spec: SequenceSpec, x: ZElement) -> tuple[int, ...]:

@@ -183,6 +183,8 @@ def _dispatch(args) -> int:
     lam = WeightVec(args.lam) if getattr(args, "lam", None) is not None else None
     if lam is not None and lam.rank != cartan.rank:
         raise ValueError("weight rank mismatch")
+    if lam is not None and not lam.is_dominant():
+        raise ValueError("weight must be dominant")
     meta = {"word": list(word.letters),
             "lambda": list(lam.coords) if lam else None,
             "convention": CONVENTION}
@@ -244,10 +246,8 @@ def _dispatch(args) -> int:
 
     if args.command == "matrix":
         gens = builtin_generators(cartan)
-        mat = unipotent_product(word, gens)
-        entries = [[mat.at(i, j).text() for j in range(1, mat.size + 1)]
-                   for i in range(1, mat.size + 1)]
-        _emit(args, meta, {"size": mat.size, "entries": entries}, entries)
+        entries = [[f.text() for f in row] for row in unipotent_product(word, gens)]
+        _emit(args, meta, {"size": len(entries), "entries": entries}, entries)
         return 0
 
     if args.command == "theorem-check":

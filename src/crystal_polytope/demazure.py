@@ -35,7 +35,6 @@ class DemazureSet:
     """Coordinate vectors (length = word length) of one finite crystal slice."""
 
     word: ReducedWord
-    lam: WeightVec
     coords: frozenset
 
     def sorted_coords(self) -> list[tuple[int, ...]]:
@@ -75,7 +74,7 @@ def enumerate_demazure(cartan: CartanMatrix, word: ReducedWord, lam: WeightVec) 
             while (x := twist_ftilde(spec, x, i, lam[i])) is not None:
                 swept.add(x)
         current = swept
-    return DemazureSet(word, lam, frozenset(x.coords(r) for x in current))
+    return DemazureSet(word, frozenset(x.coords(r) for x in current))
 
 
 def btilde_cut(cartan: CartanMatrix, word: ReducedWord, lam: WeightVec) -> DemazureSet:
@@ -109,24 +108,24 @@ def btilde_cut(cartan: CartanMatrix, word: ReducedWord, lam: WeightVec) -> Demaz
                     break
                 swept[y] = starred
         current = swept
-    return DemazureSet(word, lam, frozenset(x.coords(r) for x in current))
+    return DemazureSet(word, frozenset(x.coords(r) for x in current))
 
 
 def string_points(cartan: CartanMatrix, cut: DemazureSet) -> frozenset:
     """String data (peeled along the word) of every element of a given cut slice.
 
     The slice is taken as given, normally from ``btilde_cut``, and is
-    not cut again.  When the word reaches the longest element the peel
-    is exhaustive and the residue is checked; for shorter words the
-    first coordinates of the string data are reported as-is.
+    not cut again.  The word must reach the longest element: only then
+    does the peel along it reach zero on every member, so that string
+    data is a chart of the slice.  Along a shorter word the peel stops
+    short of zero and merges points, so such a word is refused.
 
-    No separate membership check runs.  On a longest word the exhaustive
-    peel raises ``ValueError`` exactly on the non-members; on a shorter
-    word every point of a cut is reached by lowering from zero, so it is
-    a member by construction.
+    No separate membership check runs: the exhaustive peel raises
+    ``ValueError`` exactly on the non-members.
     """
     word = cut.word
+    if len(word.letters) != num_positive_roots(cartan):
+        raise ValueError("string points need a reduced word for the longest element")
     spec = SequenceSpec(cartan, word)
-    exhaustive = len(word.letters) == num_positive_roots(cartan)
-    return frozenset(string_param(spec, ZElement.from_coords(c), word.letters,
-                                  require_exhaustive=exhaustive) for c in cut.coords)
+    return frozenset(string_param(spec, ZElement.from_coords(c), word.letters)
+                     for c in cut.coords)

@@ -137,7 +137,6 @@ class XiSet:
     """Closure of the seed forms under descent, with its certification flag."""
 
     spec: SequenceSpec
-    window: int
     forms: frozenset
     certified: bool
     delta: tuple  # the nonzero restrictions of the forms to the word positions, sorted
@@ -184,7 +183,7 @@ def generate_xi(spec: SequenceSpec, window: int) -> XiSet:
     forms = _close(spec, window)
     delta = _restricted(forms, r)
     certified = delta == _restricted(_close(spec, window + spec.cartan.rank), r)
-    return XiSet(spec, window, frozenset(forms), certified, tuple(sorted(delta)))
+    return XiSet(spec, frozenset(forms), certified, tuple(sorted(delta)))
 
 
 def ample_check(xi: XiSet, lam: WeightVec) -> bool:

@@ -7,8 +7,8 @@ Conventions:
   the coroot, columns by the root, both 1-based.
 * A ``WeightVec`` stores a weight by its pairings with the simple
   coroots, so the i-th fundamental weight is the i-th unit vector.
-* A ``RootCombo`` stores an element of the root lattice by its
-  coefficients on the simple roots.
+* A root-lattice element is a plain tuple of its coefficients on the
+  simple roots.
 * A ``ReducedWord`` stores letters in application order: the first
   letter is the first reflection/operator applied.
 """
@@ -111,51 +111,11 @@ class WeightVec:
     def scale(self, k: int) -> "WeightVec":
         return WeightVec(tuple(k * c for c in self.coords))
 
-    def add(self, other: "WeightVec") -> "WeightVec":
-        return WeightVec(tuple(a + b for a, b in zip(self.coords, other.coords, strict=True)))
 
-
-def fundamental(rank: int, i: int) -> WeightVec:
-    return WeightVec(tuple(1 if k == i else 0 for k in range(1, rank + 1)))
-
-
-def rho(rank: int) -> WeightVec:
-    return WeightVec((1,) * rank)
-
-
-@dataclass(frozen=True)
-class RootCombo:
-    """An integer combination of simple roots."""
-
-    coeffs: tuple[int, ...]
-
-    def __getitem__(self, i: int) -> int:
-        return self.coeffs[i - 1]
-
-    def add(self, other: "RootCombo") -> "RootCombo":
-        return RootCombo(tuple(a + b for a, b in zip(self.coeffs, other.coeffs, strict=True)))
-
-    def minus(self, other: "RootCombo") -> "RootCombo":
-        return RootCombo(tuple(a - b for a, b in zip(self.coeffs, other.coeffs, strict=True)))
-
-
-def simple_root(rank: int, i: int) -> RootCombo:
-    return RootCombo(tuple(1 if k == i else 0 for k in range(1, rank + 1)))
-
-
-def root_pairing(cartan: CartanMatrix, root: RootCombo, i: int) -> int:
-    """Pairing of a root-lattice element with the i-th simple coroot."""
-    return sum(root[j] * cartan.pairing(i, j) for j in cartan.index_set())
-
-
-def root_to_weight(cartan: CartanMatrix, root: RootCombo) -> WeightVec:
-    return WeightVec(tuple(root_pairing(cartan, root, i) for i in cartan.index_set()))
-
-
-def reflect_root(cartan: CartanMatrix, i: int, root: RootCombo) -> RootCombo:
-    """Simple reflection acting on the root lattice."""
-    amount = root_pairing(cartan, root, i)
-    return RootCombo(tuple(root[j] - (amount if j == i else 0) for j in cartan.index_set()))
+def _reflect(cartan: CartanMatrix, i: int, root: tuple[int, ...]) -> tuple[int, ...]:
+    """Simple reflection s_i on root-lattice coefficients: entry i drops by <h_i, root>."""
+    amount = sum(c * r for c, r in zip(cartan.rows[i - 1], root))
+    return root[:i - 1] + (root[i - 1] - amount,) + root[i:]
 
 
 def cartan_builtin(family: str, rank: int) -> CartanMatrix:
@@ -265,38 +225,37 @@ def is_reduced(cartan: CartanMatrix, word: ReducedWord | tuple[int, ...]) -> boo
     if any(not 1 <= l <= cartan.rank for l in letters):
         raise ValueError("letter out of range for this Cartan matrix")
     for k in range(len(letters)):
-        root = simple_root(cartan.rank, letters[k])
+        root = tuple(int(j == letters[k]) for j in cartan.index_set())
         for l in range(k - 1, -1, -1):
-            root = reflect_root(cartan, letters[l], root)
-        if any(c < 0 for c in root.coeffs):
+            root = _reflect(cartan, letters[l], root)
+        if any(c < 0 for c in root):
             return False
     return True
 
 
 @functools.cache
-def positive_roots(cartan: CartanMatrix) -> tuple[RootCombo, ...]:
+def positive_roots(cartan: CartanMatrix) -> tuple[tuple[int, ...], ...]:
     """All positive roots, generated by closing the simple roots under reflections.
 
-    Only meaningful for finite type; raises if the closure keeps growing
-    past a generous cap.  Closed once per Cartan matrix.
+    Each root is a tuple of its simple-root coefficients, and the roots
+    come sorted.  Only meaningful for finite type; raises if the closure
+    keeps growing past a generous cap.  Closed once per Cartan matrix.
     """
-    seen: set[tuple[int, ...]] = set()
-    frontier = [simple_root(cartan.rank, i) for i in cartan.index_set()]
-    for r in frontier:
-        seen.add(r.coeffs)
+    frontier = [tuple(int(j == i) for j in cartan.index_set()) for i in cartan.index_set()]
+    seen = set(frontier)
     cap = 10_000
     while frontier:
         nxt = []
         for root in frontier:
             for i in cartan.index_set():
-                image = reflect_root(cartan, i, root)
-                if all(c >= 0 for c in image.coeffs) and image.coeffs not in seen:
-                    seen.add(image.coeffs)
+                image = _reflect(cartan, i, root)
+                if all(c >= 0 for c in image) and image not in seen:
+                    seen.add(image)
                     nxt.append(image)
         frontier = nxt
         if len(seen) > cap:
             raise ValueError("root system does not close up; is the matrix of finite type?")
-    return tuple(RootCombo(c) for c in sorted(seen))
+    return tuple(sorted(seen))
 
 
 def num_positive_roots(cartan: CartanMatrix) -> int:
@@ -316,8 +275,8 @@ def weyl_dim_oracle(cartan: CartanMatrix, lam: WeightVec) -> int:
         raise ValueError("highest weight must be dominant")
     num = den = 1
     for coroot in positive_roots(CartanMatrix(tuple(zip(*cartan.rows)))):
-        num *= sum(c * (l + 1) for c, l in zip(coroot.coeffs, lam.coords))
-        den *= sum(coroot.coeffs)
+        num *= sum(c * (l + 1) for c, l in zip(coroot, lam.coords))
+        den *= sum(coroot)
     if num % den:
         raise ArithmeticError("dimension formula did not produce an integer")
     return num // den

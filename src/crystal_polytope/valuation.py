@@ -173,21 +173,6 @@ def value(f: MultiPoly, order: ValuationOrder) -> tuple:
     return tuple(-x for x in _order_key(order, e))
 
 
-@dataclass(frozen=True)
-class PolyMatrix:
-    """Square matrix of exact polynomials."""
-
-    entries: tuple  # tuple of row tuples of MultiPoly
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def at(self, row: int, col: int) -> MultiPoly:
-        """1-based access."""
-        return self.entries[row - 1][col - 1]
-
-
 def builtin_generators(cartan: CartanMatrix) -> dict:
     """Lowering-operator matrices for the built-in small matrix models.
 
@@ -211,8 +196,8 @@ def builtin_generators(cartan: CartanMatrix) -> dict:
     raise NotImplementedError("no built-in matrix model for this Cartan matrix")
 
 
-def unipotent_product(word: ReducedWord, gens: dict) -> PolyMatrix:
-    """exp(t_r F_{j_r}) ... exp(t_1 F_{j_1}), built by column operations.
+def unipotent_product(word: ReducedWord, gens: dict) -> tuple:
+    """exp(t_r F_{j_r}) ... exp(t_1 F_{j_1}) as a tuple of row tuples, by column operations.
 
     The first letter of the word carries t_1 and its factor sits
     rightmost.  Every generator must square to zero, so each factor is
@@ -240,25 +225,26 @@ def unipotent_product(word: ReducedWord, gens: dict) -> PolyMatrix:
                     step = t.scale(c)
                     new[b] = [x.add(step.mul(y)) for x, y in zip(new[b], cols[a])]
         cols = new
-    return PolyMatrix(tuple(zip(*cols)))
+    return tuple(zip(*cols))
 
 
-def column_minors(matrix: PolyMatrix, d: int) -> list:
+def column_minors(matrix: tuple, d: int) -> list:
     """Every c-row minor of the first c columns, for c = 0..d, from one expansion.
 
-    Entry c of the list maps each c-row set, in index order, to its
-    minor.  Built column by column: the minor on rows R and the first c
-    columns expands along column c over the minors on R less one row and
-    the first c - 1 columns, which the previous level holds.
+    Entry c of the list maps each c-row set, in index order and numbered
+    from 1, to its minor.  Built column by column: the minor on rows R
+    and the first c columns expands along column c over the minors on R
+    less one row and the first c - 1 columns, which the previous level
+    holds.
     """
-    nvars = matrix.at(1, 1).nvars
+    nvars = matrix[0][0].nvars
     levels = [{(): MultiPoly.constant(nvars, 1)}]
     for c in range(1, d + 1):
         minors, grown = levels[-1], {}
-        for rows in itertools.combinations(range(1, matrix.size + 1), c):
+        for rows in itertools.combinations(range(1, len(matrix) + 1), c):
             acc = MultiPoly.zero(nvars)
             for x, row in enumerate(rows):
-                if not (entry := matrix.at(row, c)).is_zero():
+                if not (entry := matrix[row - 1][c - 1]).is_zero():
                     term = entry.mul(minors[rows[:x] + rows[x + 1:]])
                     acc = acc.sub(term) if (c - 1 - x) % 2 else acc.add(term)
             grown[rows] = acc
@@ -266,7 +252,7 @@ def column_minors(matrix: PolyMatrix, d: int) -> list:
     return levels
 
 
-def section_span(matrix: PolyMatrix, lam: WeightVec) -> list:
+def section_span(matrix: tuple, lam: WeightVec) -> list:
     """The standard monomials of weight lam, spanning the modeled section space.
 
     Entry d of the weight gives that many d-row columns of a tableau,
@@ -282,7 +268,7 @@ def section_span(matrix: PolyMatrix, lam: WeightVec) -> list:
         raise ValueError("weight must be dominant")
     top = max((d for d, m in enumerate(lam.coords, start=1) if m), default=0)
     levels = column_minors(matrix, top)
-    nodes = [((), MultiPoly.constant(matrix.at(1, 1).nvars, 1))]
+    nodes = [((), MultiPoly.constant(matrix[0][0].nvars, 1))]
     for d in range(top, 0, -1):
         for _ in range(lam[d]):
             nodes = [(rows, prod.mul(f)) for prev, prod in nodes for rows, f in levels[d].items()

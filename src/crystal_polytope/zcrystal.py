@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rootdata import CartanMatrix, ReducedWord, RootCombo
+from .rootdata import CartanMatrix, ReducedWord
 
 
 @dataclass(frozen=True)
@@ -179,24 +179,6 @@ def letter_max(spec: SequenceSpec, x: ZElement, i: int) -> tuple[int, list[int]]
     positions, sigmas, _ = _scan(spec, x, i)
     best = max([0, *sigmas])
     return best, [p for p, s in zip(positions, sigmas) if s == best]
-
-
-def eps(spec: SequenceSpec, x: ZElement, i: int) -> int:
-    return letter_max(spec, x, i)[0]
-
-
-def wt(spec: SequenceSpec, x: ZElement) -> RootCombo:
-    """Weight as a root-lattice element: minus the letter-weighted entry sums."""
-    coeffs = [0] * spec.cartan.rank
-    for l, val in zip(spec.letter_table(len(x.values)), x.values):
-        coeffs[l - 1] -= val
-    return RootCombo(tuple(coeffs))
-
-
-def phi(spec: SequenceSpec, x: ZElement, i: int) -> int:
-    """eps plus the i-th weight coordinate, both read off one kernel scan."""
-    _, sigmas, paired = _scan(spec, x, i)
-    return max([0, *sigmas]) - paired
 
 
 def etilde(spec: SequenceSpec, x: ZElement, i: int) -> ZElement | None:

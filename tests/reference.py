@@ -22,8 +22,11 @@ against its kernel scan, and a lowering and a raising step read off
 every sigma_k against the runs of ``zcrystal._lower`` and
 ``zcrystal._raise`` and their in-place updates, and the weight and
 statistics of a twisted element, by the tensor rule over sigma_k,
-against ``zcrystal.twist_ftilde`` and ``zcrystal.twist_etilde``.  None
-of these calls a ``zcrystal`` operator.
+against ``zcrystal.twist_ftilde`` and ``zcrystal.twist_etilde``.  The
+statistics ``eps``, ``phi`` and ``wt``, from sigma_k and the entry
+sums, exist only here, so the crystal axioms check the kernel's
+operators against code apart from its scan.  None of these calls a
+``zcrystal`` operator.
 """
 
 import itertools
@@ -34,7 +37,7 @@ from crystal_polytope.inequalities import AffineForm
 from crystal_polytope.polytope import HalfSpaceSystem, bounding_box
 from crystal_polytope.rootdata import (CartanMatrix, WeightVec, is_reduced, num_positive_roots,
                                        positive_roots)
-from crystal_polytope.valuation import MultiPoly, PolyMatrix
+from crystal_polytope.valuation import MultiPoly
 from crystal_polytope.zcrystal import SequenceSpec, ZElement
 
 
@@ -95,7 +98,7 @@ def _exp_nilpotent(gen, t_index: int, nvars: int) -> list:
     return rows
 
 
-def exp_series_product(word, gens: dict) -> PolyMatrix:
+def exp_series_product(word, gens: dict) -> tuple:
     """exp(t_r F_{j_r}) ... exp(t_1 F_{j_1}) by full series and matrix products."""
     r = len(word.letters)
     size = len(next(iter(gens.values())))
@@ -103,26 +106,29 @@ def exp_series_product(word, gens: dict) -> PolyMatrix:
             for j in range(size)] for i in range(size)]
     for k in range(r, 0, -1):
         out = _matmul(out, _exp_nilpotent(gens[word[k]], k, r))
-    return PolyMatrix(tuple(tuple(row) for row in out))
+    return tuple(tuple(row) for row in out)
 
 
-def leibniz_minors(matrix: PolyMatrix, d: int) -> dict:
-    """Every d-row minor of the first d columns as a sum over permutations, keyed by row set."""
-    nvars = matrix.at(1, 1).nvars
+def leibniz_minors(matrix: tuple, d: int) -> dict:
+    """Every d-row minor of the first d columns as a sum over permutations, keyed by row set.
+
+    Rows are numbered from 1, as in ``valuation.column_minors``.
+    """
+    nvars = matrix[0][0].nvars
     out = {}
-    for rows in itertools.combinations(range(1, matrix.size + 1), d):
+    for rows in itertools.combinations(range(1, len(matrix) + 1), d):
         acc = MultiPoly.zero(nvars)
         for perm in itertools.permutations(range(d)):
             inversions = sum(perm[x] > perm[y] for x in range(d) for y in range(x + 1, d))
             term = MultiPoly.constant(nvars, (-1) ** inversions)
             for row, col in zip(rows, perm):
-                term = term.mul(matrix.at(row, col + 1))
+                term = term.mul(matrix[row - 1][col])
             acc = acc.add(term)
         out[rows] = acc
     return out
 
 
-def all_products_span(matrix: PolyMatrix, lam: WeightVec) -> list:
+def all_products_span(matrix: tuple, lam: WeightVec) -> list:
     """Every product of fundamental minors of weight lam, standard or not.
 
     Entry d of the weight picks that many d-row minors with repetition,
@@ -136,7 +142,7 @@ def all_products_span(matrix: PolyMatrix, lam: WeightVec) -> list:
         if mult:
             minors = leibniz_minors(matrix, d).values()
             factors.append(list(itertools.combinations_with_replacement(minors, mult)))
-    nvars = matrix.at(1, 1).nvars
+    nvars = matrix[0][0].nvars
     span = []
     for combo in itertools.product(*factors):
         prod = MultiPoly.constant(nvars, 1)
@@ -308,8 +314,8 @@ def weyl_dim_symmetrized(cartan: CartanMatrix, lam: WeightVec) -> int:
     d = cartan.symmetrizer()
     dim = Fraction(1)
     for root in positive_roots(cartan):
-        num = sum((l + 1) * di * c for l, di, c in zip(lam.coords, d, root.coeffs))
-        den = sum(di * c for di, c in zip(d, root.coeffs))
+        num = sum((l + 1) * di * c for l, di, c in zip(lam.coords, d, root))
+        den = sum(di * c for di, c in zip(d, root))
         dim *= Fraction(num, den)
     assert dim.denominator == 1
     return int(dim)
@@ -369,22 +375,35 @@ def raising_step(spec: SequenceSpec, x: ZElement, i: int) -> ZElement | None:
     return x.bump(max(k for k, s in sigmas.items() if s == best), -1)
 
 
+def eps(spec: SequenceSpec, x: ZElement, i: int) -> int:
+    """The max of 0 and every sigma_k of letter i in the support; past it sigma_k is 0."""
+    return max([0, *(sigma_k(spec, x, k) for k in range(1, x.support_max() + 1)
+                     if spec.letter(k) == i)])
+
+
+def wt(spec: SequenceSpec, x: ZElement) -> tuple:
+    """Weight in simple-root coefficients: minus the entries of each letter, summed."""
+    coeffs = [0] * spec.cartan.rank
+    for k, v in enumerate(x.values, 1):
+        coeffs[spec.letter(k) - 1] -= v
+    return tuple(coeffs)
+
+
+def phi(spec: SequenceSpec, x: ZElement, i: int) -> int:
+    """eps_i plus the i-th weight coordinate <h_i, wt x>, paired from the root coefficients."""
+    return eps(spec, x, i) + sum(spec.cartan.pairing(i, j) * c
+                                 for j, c in enumerate(wt(spec, x), 1))
+
+
 def twisted_statistics(spec: SequenceSpec, x: ZElement, i: int, lam: WeightVec) -> tuple:
     """Weight, eps_i and phi_i of x tensored with the one-point crystal of lam.
 
-    The body's eps_i is the max of 0 and its letter-i sigma_k, and its
-    weight pairs with h_i to minus the pairing-weighted entry sum, so
-    its phi_i is eps_i plus that pairing.  The one-point factor has
-    weight lam, eps_i = -lam_i and phi_i = 0, and the tensor rule
+    The body's statistics are the oracles above.  The one-point factor
+    has weight lam, eps_i = -lam_i and phi_i = 0, and the tensor rule
     (Kashiwara, Duke Math. J. 71, 1993) gives wt = wt x + lam,
     eps_i = max(eps_i x, -lam_i - <h_i, wt x>) and
     phi_i = max(0, phi_i x + lam_i).
     """
-    cartan = spec.cartan
-    body_eps = max([0, *(sigma_k(spec, x, k) for k in range(1, x.support_max() + 1)
-                         if spec.letter(k) == i)])
-    weight = tuple(-sum(cartan.pairing(j, spec.letter(k)) * v for k, v in enumerate(x.values, 1))
-                   for j in cartan.index_set())
-    body_phi = body_eps + weight[i - 1]
-    twisted_weight = WeightVec(tuple(w + l for w, l in zip(weight, lam.coords)))
-    return twisted_weight, max(body_eps, -lam[i] - weight[i - 1]), max(0, body_phi + lam[i])
+    weight = tuple(phi(spec, x, j) - eps(spec, x, j) for j in spec.cartan.index_set())
+    return (WeightVec(tuple(w + l for w, l in zip(weight, lam.coords))),
+            max(eps(spec, x, i), -lam[i] - weight[i - 1]), max(0, phi(spec, x, i) + lam[i]))

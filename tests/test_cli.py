@@ -662,10 +662,9 @@ def test_delta_hrep_past_the_elimination_row_cap_is_refused(capsys, argv, error)
 
 def test_theorem_check_exit_two_on_mismatch(capsys, monkeypatch):
     from crystal_polytope.demazure import DemazureSet
-    from crystal_polytope.rootdata import ReducedWord, rho
 
     def wrong(cartan, word, lam):
-        return DemazureSet(word, lam, frozenset({(9, 9, 9)}))
+        return DemazureSet(word, frozenset({(9, 9, 9)}))
 
     monkeypatch.setattr(cli, "btilde_cut", wrong)
     code, out, _ = run(capsys, ["theorem-check", "--type", "A", "--rank", "2",
@@ -710,14 +709,17 @@ def test_usage_errors_exit_one(capsys):
     assert code == 0 and out.strip() == "-1"
 
 
+@pytest.mark.parametrize("lam,error", [("1,1", "error: weight rank mismatch"),
+                                       ("-1,1,1", "error: weight must be dominant")],
+                         ids=["short", "non-dominant"])
 @pytest.mark.parametrize("command", ["ample", "delta-points", "delta-hrep"])
-def test_weight_of_the_wrong_rank_is_rejected(capsys, command):
-    # the default window leaves this closure uncertified, so only the rank
-    # check at the command line catches the short weight
+def test_weight_of_the_wrong_rank_is_rejected(capsys, command, lam, error):
+    # the default window leaves this closure uncertified, so only the weight
+    # checks at the command line catch a short or a non-dominant weight
     code, out, err = run(capsys, [command, "--type", "A", "--rank", "3",
-                                  "--word", "1,2,1,3,2,1", "--lambda", "1,1"])
+                                  "--word", "1,2,1,3,2,1", f"--lambda={lam}"])
     assert code == 1 and out == ""
-    assert err.splitlines()[-1] == "error: weight rank mismatch"
+    assert err.splitlines()[-1] == error
 
 
 @pytest.mark.parametrize("argv,error", [
@@ -733,6 +735,12 @@ def test_weight_of_the_wrong_rank_is_rejected(capsys, command):
     (["ample", "--type", "A", "--rank", "2", "--word", "1,2,1", "--lambda", "1,1",
       "--window", "1000000000"],
      "error: the descent closure of word [1, 2, 1] at window 1000000000 passed 20000 forms"),
+    # the peel along a short word stops short of zero and merges points:
+    # 4 for the 5 of A2 1,2 and 18 for the 24 of A3 1,2,1,3
+    (["string-points", "--type", "A", "--rank", "2", "--word", "1,2", "--lambda", "1,1"],
+     "error: string points need a reduced word for the longest element"),
+    (["string-points", "--type", "A", "--rank", "3", "--word", "1,2,1,3", "--lambda", "1,1,1"],
+     "error: string points need a reduced word for the longest element"),
 ])
 def test_data_errors_exit_one_with_one_error_line(capsys, argv, error):
     code, out, err = run(capsys, argv)

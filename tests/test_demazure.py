@@ -6,29 +6,29 @@ from crystal_polytope import binfinity, demazure, zcrystal
 from crystal_polytope.binfinity import membership, star
 from crystal_polytope.demazure import (DemazureSet, btilde_cut, enumerate_demazure,
                                        string_points)
-from crystal_polytope.rootdata import (ReducedWord, WeightVec, cartan_builtin,
-                                       fundamental, rho, root_to_weight, weyl_dim_oracle)
-from crystal_polytope.zcrystal import SequenceSpec, ZElement, eps, ftilde, wt
-from reference import all_reduced_words_longest
+from crystal_polytope.rootdata import ReducedWord, WeightVec, cartan_builtin, weyl_dim_oracle
+from crystal_polytope.zcrystal import SequenceSpec, ZElement, ftilde
+from reference import all_reduced_words_longest, eps, phi
 
 A2 = cartan_builtin("A", 2)
 C2 = cartan_builtin("C", 2)
 W_A2 = ReducedWord((1, 2, 1))
 W_C2 = ReducedWord((1, 2, 1, 2))
-RHO2 = rho(2)
+RHO2 = WeightVec((1, 1))
+RHO3 = WeightVec((1, 1, 1))
 
 
 def test_fundamental_slices_a2():
-    assert enumerate_demazure(A2, W_A2, fundamental(2, 1)).coords == frozenset(
+    assert enumerate_demazure(A2, W_A2, WeightVec((1, 0))).coords == frozenset(
         {(0, 0, 0), (1, 0, 0), (1, 1, 0)})
-    assert enumerate_demazure(A2, W_A2, fundamental(2, 2)).coords == frozenset(
+    assert enumerate_demazure(A2, W_A2, WeightVec((0, 1))).coords == frozenset(
         {(0, 0, 0), (0, 1, 0), (0, 1, 1)})
 
 
 def test_slice_sizes_match_dimension_oracle():
     cases = [(A2, W_A2, RHO2, 8), (A2, W_A2, RHO2.scale(2), 27),
-             (C2, W_C2, RHO2, 16), (C2, W_C2, fundamental(2, 1), 4),
-             (C2, W_C2, fundamental(2, 2), 5)]
+             (C2, W_C2, RHO2, 16), (C2, W_C2, WeightVec((1, 0)), 4),
+             (C2, W_C2, WeightVec((0, 1)), 5)]
     for cartan, word, lam, n in cases:
         assert weyl_dim_oracle(cartan, lam) == n
         assert len(enumerate_demazure(cartan, word, lam)) == n
@@ -87,12 +87,11 @@ def test_lowering_moves_the_starred_eps_by_the_kashiwara_saito_rule(family, rank
     for r in range(1, len(letters) + 1):
         word = ReducedWord(letters[:r])
         spec = SequenceSpec(cartan, word)
-        for coords in enumerate_demazure(cartan, word, rho(rank)).coords:
+        for coords in enumerate_demazure(cartan, word, WeightVec((1,) * rank)).coords:
             x = ZElement.from_coords(coords)
             starred = starred_eps(spec, x)
-            weight = root_to_weight(cartan, wt(spec, x))
             for i in cartan.index_set():
-                total = eps(spec, x, i) + starred[i - 1] + weight[i]
+                total = phi(spec, x, i) + starred[i - 1]
                 assert total >= 0, (letters[:r], coords, i)
                 step = 1 if total == 0 else 0
                 expected = (*starred[:i - 1], starred[i - 1] + step, *starred[i:])
@@ -103,7 +102,7 @@ def test_lowering_moves_the_starred_eps_by_the_kashiwara_saito_rule(family, rank
 # cap or at an element its stage already holds, so the count pins the rays
 CUT_STEPS = [(C2, W_C2, RHO2.scale(2), 142),
              (cartan_builtin("G", 2), ReducedWord((1, 2, 1, 2, 1, 2)), RHO2, 174),
-             (cartan_builtin("C", 3), ReducedWord((1, 2, 1, 3, 2, 1, 3, 2, 3)), rho(3), 1523)]
+             (cartan_builtin("C", 3), ReducedWord((1, 2, 1, 3, 2, 1, 3, 2, 3)), RHO3, 1523)]
 
 
 @pytest.mark.parametrize("cartan,word,lam,steps", CUT_STEPS,
@@ -139,7 +138,7 @@ def test_cut_route_builds_no_star_partner(monkeypatch, cartan, word, lam, steps)
 # of every ray included: the sweep has no early stop, so the count pins its rays
 SWEEP_CALLS = [(C2, W_C2, RHO2.scale(2), 179),
                (cartan_builtin("G", 2), ReducedWord((1, 2, 1, 2, 1, 2)), RHO2, 252),
-               (cartan_builtin("C", 3), ReducedWord((1, 2, 1, 3, 2, 1, 3, 2, 3)), rho(3), 2139)]
+               (cartan_builtin("C", 3), ReducedWord((1, 2, 1, 3, 2, 1, 3, 2, 3)), RHO3, 2139)]
 
 
 @pytest.mark.parametrize("cartan,word,lam,calls", SWEEP_CALLS,
@@ -193,14 +192,19 @@ def test_string_points_a2_rho_golden():
 
 
 def test_string_points_count_matches_slice():
-    for cartan, word in ((A2, W_A2), (C2, W_C2), (C2, W_C2.reversed())):
-        assert len(string_points(cartan, btilde_cut(cartan, word, RHO2))) == \
-            len(enumerate_demazure(cartan, word, RHO2))
+    # the peel along a longest word is a chart: no two points of a slice merge
+    b3_word = ReducedWord((1, 2, 1, 3, 2, 1, 3, 2, 3))
+    for cartan, word in ((A2, W_A2), (C2, W_C2), (C2, W_C2.reversed()),
+                         (cartan_builtin("G", 2), ReducedWord((1, 2, 1, 2, 1, 2))),
+                         (cartan_builtin("B", 3), b3_word)):
+        lam = WeightVec((1,) * cartan.rank)
+        assert len(string_points(cartan, btilde_cut(cartan, word, lam))) == \
+            len(enumerate_demazure(cartan, word, lam)), word
 
 
 def test_string_points_reject_a_non_member_on_a_longest_word():
     # (0, 0, 1) is not in the image for 1,2,1: the exhaustive peel leaves a residue
-    cut = DemazureSet(W_A2, RHO2, frozenset({(0, 0, 0), (0, 0, 1)}))
+    cut = DemazureSet(W_A2, frozenset({(0, 0, 0), (0, 0, 1)}))
     with pytest.raises(ValueError, match="residue"):
         string_points(A2, cut)
 
@@ -209,8 +213,8 @@ def test_string_points_reject_a_non_member_on_a_longest_word():
     (A2, (1, 2, 1)), (C2, (1, 2, 1, 2)), (cartan_builtin("G", 2), (1, 2, 1, 2, 1, 2)),
     (cartan_builtin("A", 3), (1, 2, 1, 3, 2, 1))])
 def test_cut_points_of_every_proper_prefix_are_members(cartan, letters):
-    # string_points peels prefix cuts without a membership check; this is why
-    lam = rho(cartan.rank)
+    # the cut lowers from zero and runs no membership check: its points are members anyway
+    lam = WeightVec((1,) * cartan.rank)
     for r in range(1, len(letters)):
         word = ReducedWord(letters[:r])
         spec = SequenceSpec(cartan, word)

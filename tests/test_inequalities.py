@@ -10,14 +10,14 @@ from crystal_polytope.demazure import enumerate_demazure
 from crystal_polytope.inequalities import (AffineForm, _close, ample_check, delta_hrep,
                                            delta_system, descent_templates, generate_xi, shat)
 from crystal_polytope.polytope import lattice_points
-from crystal_polytope.rootdata import ReducedWord, WeightVec, cartan_builtin, rho
+from crystal_polytope.rootdata import ReducedWord, WeightVec, cartan_builtin
 from crystal_polytope.zcrystal import SequenceSpec
 
 A2 = cartan_builtin("A", 2)
 C2 = cartan_builtin("C", 2)
 SPEC_A2 = SequenceSpec(A2, ReducedWord((1, 2, 1)))
 SPEC_C2 = SequenceSpec(C2, ReducedWord((1, 2, 1, 2)))
-RHO2 = rho(2)
+RHO2 = WeightVec((1, 1))
 
 
 def form(coeffs, lam=(0, 0)):

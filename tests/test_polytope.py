@@ -11,13 +11,13 @@ from crystal_polytope.demazure import enumerate_demazure
 from crystal_polytope.inequalities import delta_hrep, delta_system, generate_xi
 from crystal_polytope.polytope import (HalfSpaceSystem, bounding_box, lattice_points,
                                        normalize, _implied_by)
-from crystal_polytope.rootdata import ReducedWord, WeightVec, cartan_builtin, rho
+from crystal_polytope.rootdata import ReducedWord, WeightVec, cartan_builtin
 from crystal_polytope.zcrystal import SequenceSpec
 from reference import brute_lattice_points, implied_by_projection
 
 A2 = cartan_builtin("A", 2)
 SPEC_A2 = SequenceSpec(A2, ReducedWord((1, 2, 1)))
-RHO2 = rho(2)
+RHO2 = WeightVec((1, 1))
 
 
 def a2_rho_system():
@@ -41,7 +41,7 @@ def test_bounding_box_is_the_lattice_extent(family, rank, word, window, scale):
     # interval propagation already gives the tight box, so no LP is needed for it
     cartan = cartan_builtin(family, rank)
     xi = generate_xi(SequenceSpec(cartan, ReducedWord(word)), window)
-    system = delta_hrep(xi, rho(rank).scale(scale))
+    system = delta_hrep(xi, WeightVec((1,) * rank).scale(scale))
     box = bounding_box(system)
     pts = lattice_points(system)
     assert box.lo == tuple(map(min, zip(*pts)))
@@ -157,7 +157,7 @@ NORMALIZED_ROWS = {
 @pytest.mark.parametrize("family,word,scale", sorted(NORMALIZED_ROWS))
 def test_normalized_delta_hrep_rows_are_pinned(family, word, scale):
     xi = generate_xi(SequenceSpec(cartan_builtin(family, 2), ReducedWord(word)), len(word))
-    system = normalize(delta_hrep(xi, rho(2).scale(scale)))
+    system = normalize(delta_hrep(xi, WeightVec((1, 1)).scale(scale)))
     assert system.rows == NORMALIZED_ROWS[family, word, scale]
 
 
@@ -224,7 +224,7 @@ DILATED = [("A", (1, 2, 1), k) for k in (1, 4, 16, 32)] + \
 @pytest.mark.parametrize("family,word,scale", DILATED)
 def test_implied_by_matches_the_projection_inside_normalize(monkeypatch, family, word, scale):
     xi = generate_xi(SequenceSpec(cartan_builtin(family, 2), ReducedWord(word)), len(word))
-    system = delta_hrep(xi, rho(2).scale(scale))
+    system = delta_hrep(xi, WeightVec((1, 1)).scale(scale))
     calls = []
 
     def checked(rows, row, dim):
@@ -257,8 +257,8 @@ C3_RHO_ROWS = (
 def test_normalized_delta_hrep_rows_at_rank_three():
     cartan = cartan_builtin("C", 3)
     xi = generate_xi(SequenceSpec(cartan, ReducedWord(C3_WORD)), len(C3_WORD))
-    system = normalize(delta_hrep(xi, rho(3)))
+    system = normalize(delta_hrep(xi, WeightVec((1, 1, 1))))
     assert system.rows == C3_RHO_ROWS
-    slice_ = enumerate_demazure(cartan, ReducedWord(C3_WORD), rho(3))
+    slice_ = enumerate_demazure(cartan, ReducedWord(C3_WORD), WeightVec((1, 1, 1)))
     assert len(slice_) == 512
     assert lattice_points(system) == slice_.sorted_coords()

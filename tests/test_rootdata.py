@@ -4,9 +4,8 @@ import itertools
 
 import pytest
 
-from crystal_polytope.rootdata import (CartanMatrix, ReducedWord, WeightVec,
-                                       cartan_builtin, fundamental, is_reduced,
-                                       num_positive_roots, positive_roots, rho,
+from crystal_polytope.rootdata import (CartanMatrix, ReducedWord, WeightVec, cartan_builtin,
+                                       is_reduced, num_positive_roots, positive_roots,
                                        weyl_dim_oracle)
 from reference import all_reduced_words_longest, reflect, weyl_dim_symmetrized
 
@@ -58,7 +57,7 @@ def _word_matrix(cartan, letters):
     """The word's action on the weight lattice, as a tuple of basis images."""
     cols = []
     for j in cartan.index_set():
-        v = fundamental(cartan.rank, j)
+        v = WeightVec(tuple(int(k == j) for k in cartan.index_set()))
         for i in letters:
             v = reflect(cartan, i, v)
         cols.append(v.coords)
@@ -95,20 +94,20 @@ def test_all_reduced_words_longest():
 
 
 def test_weyl_dim_oracle_golden():
-    assert weyl_dim_oracle(A2, fundamental(2, 1)) == 3
-    assert weyl_dim_oracle(A2, fundamental(2, 2)) == 3
-    assert weyl_dim_oracle(A2, rho(2)) == 8
-    assert weyl_dim_oracle(A2, rho(2).scale(2)) == 27
-    assert weyl_dim_oracle(C2, fundamental(2, 1)) == 4
-    assert weyl_dim_oracle(C2, fundamental(2, 2)) == 5
-    assert weyl_dim_oracle(C2, rho(2)) == 16
+    assert weyl_dim_oracle(A2, WeightVec((1, 0))) == 3
+    assert weyl_dim_oracle(A2, WeightVec((0, 1))) == 3
+    assert weyl_dim_oracle(A2, WeightVec((1, 1))) == 8
+    assert weyl_dim_oracle(A2, WeightVec((1, 1)).scale(2)) == 27
+    assert weyl_dim_oracle(C2, WeightVec((1, 0))) == 4
+    assert weyl_dim_oracle(C2, WeightVec((0, 1))) == 5
+    assert weyl_dim_oracle(C2, WeightVec((1, 1))) == 16
     assert weyl_dim_oracle(C2, WeightVec((2, 0))) == 10
     assert weyl_dim_oracle(C2, WeightVec((0, 2))) == 14
-    assert weyl_dim_oracle(C2, rho(2).scale(2)) == 81
-    assert weyl_dim_oracle(cartan_builtin("B", 3), fundamental(3, 1)) == 7
-    assert weyl_dim_oracle(cartan_builtin("B", 3), fundamental(3, 3)) == 8
-    assert weyl_dim_oracle(cartan_builtin("G", 2), fundamental(2, 1)) == 7
-    assert weyl_dim_oracle(cartan_builtin("G", 2), fundamental(2, 2)) == 14
+    assert weyl_dim_oracle(C2, WeightVec((1, 1)).scale(2)) == 81
+    assert weyl_dim_oracle(cartan_builtin("B", 3), WeightVec((1, 0, 0))) == 7
+    assert weyl_dim_oracle(cartan_builtin("B", 3), WeightVec((0, 0, 1))) == 8
+    assert weyl_dim_oracle(cartan_builtin("G", 2), WeightVec((1, 0))) == 7
+    assert weyl_dim_oracle(cartan_builtin("G", 2), WeightVec((0, 1))) == 14
     assert weyl_dim_oracle(A2, WeightVec((0, 0))) == 1
 
 
@@ -118,7 +117,8 @@ def test_weyl_dim_oracle_golden():
     ("E", 8, 8, 248), ("D", 5, 1, 10), ("D", 5, 5, 16), ("B", 4, 4, 16),
 ])
 def test_fundamental_dimensions_in_bourbaki_numbering(family, rank, i, dim):
-    assert weyl_dim_oracle(cartan_builtin(family, rank), fundamental(rank, i)) == dim
+    lam = WeightVec(tuple(int(k == i) for k in range(1, rank + 1)))
+    assert weyl_dim_oracle(cartan_builtin(family, rank), lam) == dim
 
 
 @pytest.mark.parametrize("family,rank", [
@@ -136,7 +136,6 @@ def test_weight_vec_helpers():
     lam = WeightVec((1, 2))
     assert lam.is_dominant() and lam[1] == 1 and lam[2] == 2
     assert lam.scale(3).coords == (3, 6)
-    assert lam.add(WeightVec((1, 0))).coords == (2, 2)
     assert not WeightVec((-1, 0)).is_dominant()
 
 
