@@ -1,4 +1,4 @@
-"""Membership, the star involution, and string parameterizations.
+"""Membership, the star involution, and string data of one element or a whole slice.
 
 The image of the big crystal inside the sequence crystal is exactly the
 set of elements reachable from zero by lowering operators.  Membership
@@ -78,6 +78,24 @@ def string_param(spec: SequenceSpec, x: ZElement, direction: tuple[int, ...]) ->
     if not cur.is_zero():
         raise ValueError(f"string peeling left a nonzero residue {cur!r} after letters {direction}")
     return tuple(out)
+
+
+def peel_slice(spec: SequenceSpec, xs, direction: tuple[int, ...]) -> dict:
+    """String data along the given letters of every element of xs, by element.
+
+    Members of one i-string meet once raised at i, so step t raises each state
+    once.  A nonzero residue raises ``ValueError``, as in ``string_param``.
+    """
+    states = {x: [(x, ())] for x in xs}  # state -> (element, its string so far)
+    for i in direction:
+        raised = {}
+        for cur, reached in states.items():
+            top, count = etilde_max(spec, cur, i)
+            raised.setdefault(top, []).extend((x, s + (count,)) for x, s in reached)
+        states = raised
+    for cur in states.keys() - {ZElement.zero()}:
+        raise ValueError(f"string peeling left a nonzero residue {cur!r} after letters {direction}")
+    return dict(pair for reached in states.values() for pair in reached)
 
 
 def _longest_word_string(spec: SequenceSpec, x: ZElement,

@@ -15,8 +15,8 @@ import functools
 import json
 import sys
 
-from .binfinity import eta, eta_opposite, membership, star
-from .demazure import btilde_cut, enumerate_demazure, string_points
+from .binfinity import eta, eta_opposite, membership, peel_slice, star
+from .demazure import btilde_cut, enumerate_demazure, require_longest_word, string_points
 from .inequalities import ample_check, delta_hrep, delta_system, generate_xi
 from .polytope import lattice_points, normalize
 from .rootdata import (CartanMatrix, ReducedWord, WeightVec, cartan_builtin, is_reduced,
@@ -90,6 +90,14 @@ def _hrep_line(const: int, lam_coeffs, coeffs) -> str:
     parts.extend(f"{c}*L{i}" for i, c in enumerate(lam_coeffs, start=1))
     parts.extend(f"{c}*a{p}" for p, c in enumerate(coeffs, start=1))
     return " + ".join(parts) + " >= 0"
+
+
+def _compare(left, right, names) -> str:
+    """The sizes of two point sets and, if they differ, the first sorted point in only one."""
+    detail = f"{len(left)} {names[0]} vs {len(right)} {names[1]}"
+    if odd := sorted(left ^ right):
+        detail += f"; first difference {list(odd[0])}, only among the {names[odd[0] in right]}"
+    return detail
 
 
 def _require_member(spec, coords) -> None:
@@ -217,6 +225,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "string-points":
+        require_longest_word(cartan, word)  # before the cut, which grows with the weight
         pts = sorted(string_points(cartan, btilde_cut(cartan, word, lam)))
         _points_payload(args, meta, pts)
         return 0
@@ -276,7 +285,7 @@ def _theorem_check(args, cartan, spec, word, lam, meta) -> int:
     r = len(word.letters)
     dem = enumerate_demazure(cartan, word, lam)
     record("route_agreement", dem.coords == cut(word, lam).coords,
-           f"{len(dem)} twisted-sweep points vs {len(cut(word, lam))} cut points")
+           _compare(dem.coords, cut(word, lam).coords, ("twisted-sweep points", "cut points")))
 
     if r == num_positive_roots(cartan):
         dim = weyl_dim_oracle(cartan, lam)
@@ -301,35 +310,38 @@ def _theorem_check(args, cartan, spec, word, lam, meta) -> int:
     if ample:
         pts = lattice(lam)
         record("hrep_lattice", pts == dem.sorted_coords(),
-               f"{len(pts)} lattice points vs {len(dem)} crystal points")
+               _compare(set(pts), dem.coords, ("lattice points", "crystal points")))
 
-    levels = {}
+    levels, witness = {}, ""
     for k in range(args.k_max + 1):
-        scaled = lam.scale(k)
-        level = sorted(cut(word, scaled).coords)
+        level = cut(word, lam.scale(k)).coords
         try:
-            levels[k] = level == lattice(scaled)
+            points = lattice(lam.scale(k))
         except ValueError:
             # no finite box: an unbounded system has infinitely many rational
             # points, so it cannot match a finite level (a mismatch, not an
             # error); a bounded system that interval propagation cannot box
             # would be misread here, but no delta system is known to be one
-            levels[k] = False
+            points = None
+        levels[k] = sorted(level) == points
+        if not (levels[k] or witness or points is None):
+            witness = f"; k={k}: " + _compare(level, set(points), ("cut points", "lattice points"))
     record("semigroup_levels", all(levels.values()),
-           ",".join(f"k={k}:{'ok' if v else 'FAIL'}" for k, v in levels.items()))
+           ",".join(f"k={k}:{'ok' if v else 'FAIL'}" for k, v in levels.items()) + witness)
 
     if r == num_positive_roots(cartan):
         strung = string_points(cartan, cut(word.reversed(), lam))
-        image = frozenset(eta_opposite(spec, ZElement.from_coords(c)) for c in dem.coords)
+        image = frozenset(peel_slice(spec, map(ZElement.from_coords, dem.coords),
+                                     word.reversed().letters).values())
         record("eta_string_bijection", image == strung and len(image) == len(dem),
-               f"{len(image)} star-chart images vs {len(strung)} string points")
+               _compare(image, strung, ("star-chart images", "string points")))
 
     if type_a:
         span = section_span(unipotent_product(word, builtin_generators(cartan)), lam)
         values = value_set_of_span(span, ValuationOrder.HI)
         exps = {tuple(-x for x in v) for v in values}
         record("value_set", exps == set(dem.coords),
-               f"{len(exps)} valuation exponents vs {len(dem)} crystal points")
+               _compare(exps, dem.coords, ("valuation exponents", "crystal points")))
         if args.degree_cap is not None:
             closure = products_closure(span, args.degree_cap)
             cone = value_set_of_span(closure, ValuationOrder.HI)

@@ -17,16 +17,9 @@ and the inequality layer walk that table themselves.  Every statistic
 and every operator rests on one kernel scan: a backward pass over the
 support, reading the spec's letter table and one row of the Cartan
 matrix, gives the sigmas of letter i and minus the i-th weight
-coordinate, so eps and phi share it.  A run at one letter (f_i or e_i
-applied up to a count) costs one scan too: sigma is linear in x, so a
-step at position q moves sigma_q by 1, every earlier sigma of the same
-letter by 2 and no later one, and the run updates the scanned values in
-place.  A single lowering or raising step is a run of length one.
-
-On members, ``ftilde_starred`` also carries the starred eps (the eps of
-the star partner) through a lowering step on the same scan, by the
-one-step rule of Kashiwara and Saito (Duke Math. J. 89, 1997, 3.2), so
-no star partner has to be built to read it.
+coordinate, so eps and phi share it.  A run of steps at one letter (a
+lowering ray, or a raising run) costs one scan too: sigma is linear in
+x, so each step moves the scanned values by fixed amounts, in place.
 
 A dominant weight lam twists the crystal: an element x stands for x
 tensored with the one-point crystal of lam, whose eps_i is -lam_i and
@@ -193,27 +186,23 @@ def ftilde(spec: SequenceSpec, x: ZElement, i: int) -> ZElement:
     return ftilde_run(spec, x, i, 1)
 
 
-def _lower(spec: SequenceSpec, x: ZElement, i: int, a: int,
-           positions: list[int], sigmas: list[int]) -> ZElement:
-    """f_i applied a times to x, given the kernel scan of x (the lists are consumed).
+def _lower(spec: SequenceSpec, i: int, a: int, values: list[int],
+           positions: list[int], sigmas: list[int]) -> list[int]:
+    """f_i applied a times, in place, to the entries ``values`` and their kernel scan.
 
-    Every position of letter i past the support has sigma 0, so one
-    trailing sigma 0 stands for the smallest of them; its position is
-    looked up only when a step lands there, and the next one takes its
-    place.  A step at the smallest attaining position q adds 1 to x_q,
-    so sigma_q rises by 1, each earlier same-letter sigma by the
-    diagonal entry 2, and the later ones not at all.
+    The scan ends in a 0 that stands for the positions of letter i past the
+    entries; a step there gives it the next such position, and a new 0
+    follows.  A step at the smallest attaining position q adds 1 to x_q:
+    sigma_q rises by 1 and each earlier same-letter sigma by 2, on any
+    integer vector.
     """
-    values = list(x.values)
-    tail = len(values)
-    sigmas.append(0)
     for _ in range(a):
         q = sigmas.index(max(sigmas))
         if q == len(positions):
-            tail += 1
-            while spec.letter(tail) != i:
-                tail += 1
-            positions.append(tail)
+            p = len(values) + 1
+            while spec.letter(p) != i:
+                p += 1
+            positions.append(p)
             sigmas.append(0)
         p = positions[q]
         if p > len(values):
@@ -222,7 +211,19 @@ def _lower(spec: SequenceSpec, x: ZElement, i: int, a: int,
         sigmas[q] += 1
         for t in range(q):
             sigmas[t] += 2
-    return ZElement.from_coords(values)
+    return values
+
+
+def ftilde_ray(spec: SequenceSpec, x: ZElement, i: int):
+    """Endless lowering ray on one kernel scan: f_i y and phi_i(y) for y = x, f_i x, ..."""
+    positions, sigmas, paired = _scan(spec, x, i)
+    values = list(x.values)
+    sigmas.append(0)
+    while True:
+        phi = max(sigmas) - paired
+        _lower(spec, i, 1, values, positions, sigmas)
+        yield ZElement.from_coords(values), phi
+        paired += 2
 
 
 def _raise(x: ZElement, positions: list[int], sigmas: list[int],
@@ -245,30 +246,11 @@ def _raise(x: ZElement, positions: list[int], sigmas: list[int],
     return (ZElement.from_coords(values) if count else x), count
 
 
-def ftilde_starred(spec: SequenceSpec, x: ZElement, i: int,
-                   starred: tuple[int, ...]) -> tuple[ZElement, tuple[int, ...]]:
-    """f_i x and its starred eps, given the starred eps of a member x (one scan).
-
-    ``starred[j - 1]`` is eps_j of the star partner of x.  Lowering at i
-    leaves every entry j != i alone, and raises entry i by 1 exactly when
-    eps_i(x) + eps*_i(x) + <h_i, wt x> is 0, its least value
-    (Kashiwara-Saito, Duke Math. J. 89, 1997, 3.2); the scan gives eps_i
-    and minus the weight pairing.
-    """
-    positions, sigmas, paired = _scan(spec, x, i)
-    if max([0, *sigmas]) + starred[i - 1] == paired:
-        starred = (*starred[:i - 1], starred[i - 1] + 1, *starred[i:])
-    return _lower(spec, x, i, 1, positions, sigmas), starred
-
-
 def ftilde_run(spec: SequenceSpec, x: ZElement, i: int, a: int) -> ZElement:
-    """The lowering operator f_i applied a times, on one kernel scan.
-
-    Sigma is linear in x, so the updates of ``_lower`` hold for every
-    integer vector, members of the image or not.
-    """
+    """The lowering operator f_i applied a times, on one kernel scan."""
     positions, sigmas, _ = _scan(spec, x, i)
-    return _lower(spec, x, i, a, positions, sigmas)
+    sigmas.append(0)
+    return ZElement.from_coords(_lower(spec, i, a, list(x.values), positions, sigmas))
 
 
 def etilde_max(spec: SequenceSpec, x: ZElement, i: int) -> tuple[ZElement, int]:
@@ -291,12 +273,6 @@ def twist_etilde(spec: SequenceSpec, x: ZElement, i: int, cap: int) -> ZElement 
 
 
 def twist_ftilde(spec: SequenceSpec, x: ZElement, i: int, cap: int) -> ZElement | None:
-    """Twisted lowering, cap = lam_i: lower x only when its phi is > -cap.
-
-    One kernel scan gives both: the phi of x is its eps minus the
-    pairing-weighted entry sum, and the scan's sigmas place the step.
-    """
-    positions, sigmas, paired = _scan(spec, x, i)
-    if max([0, *sigmas]) - paired > -cap:
-        return _lower(spec, x, i, 1, positions, sigmas)
-    return None
+    """Twisted lowering, cap = lam_i: lower x only when its phi is > -cap (one scan)."""
+    lowered, phi = next(ftilde_ray(spec, x, i))
+    return lowered if phi > -cap else None

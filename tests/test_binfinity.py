@@ -6,11 +6,12 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from crystal_polytope import zcrystal
-from crystal_polytope.binfinity import (_star_of_member, eta, eta_opposite, membership, star,
-                                        string_param)
-from crystal_polytope.rootdata import ReducedWord, cartan_builtin
-from crystal_polytope.zcrystal import SequenceSpec, ZElement, ftilde, ftilde_starred
+from crystal_polytope import binfinity, zcrystal
+from crystal_polytope.binfinity import (_star_of_member, eta, eta_opposite, membership,
+                                        peel_slice, star, string_param)
+from crystal_polytope.demazure import btilde_cut
+from crystal_polytope.rootdata import ReducedWord, WeightVec, cartan_builtin
+from crystal_polytope.zcrystal import SequenceSpec, ZElement, etilde_max, ftilde, ftilde_ray
 
 from reference import eps, greedy_membership
 
@@ -219,7 +220,10 @@ def test_carried_starred_eps_is_the_eps_of_the_star_partner(data):
     spec, path = data
     x, starred = ZElement.zero(), (0,) * spec.cartan.rank
     for i in path:
-        lowered, starred = ftilde_starred(spec, x, i, starred)
+        # the cut's Kashiwara-Saito step, on the phi the ray yields
+        lowered, phi = next(ftilde_ray(spec, x, i))
+        if phi + starred[i - 1] == 0:
+            starred = (*starred[:i - 1], starred[i - 1] + 1, *starred[i:])
         assert lowered == ftilde(spec, x, i)
         x = lowered
         partner = star(spec, x)
@@ -247,3 +251,35 @@ def test_star_partner_costs_one_scan_per_nonzero_coordinate(monkeypatch):
         partner = _star_of_member(spec, x)
         assert len(calls) == nonzero
         assert star(spec, partner) == x
+
+
+@pytest.mark.parametrize("family,rank,letters", LADDER_WORDS)
+def test_slice_peel_is_the_peel_of_each_element(monkeypatch, family, rank, letters):
+    # on the rho slice of every ladder chart (and B3), along its word and the reversed
+    # word; every distinct state of every step is raised once
+    cartan = cartan_builtin(family, rank)
+    lam = WeightVec((1,) * rank)
+    runs = []
+
+    def counting(spec, x, i):
+        runs.append((x, i))
+        return etilde_max(spec, x, i)
+
+    for word in (ReducedWord(letters), ReducedWord(letters).reversed()):
+        spec = SequenceSpec(cartan, word)
+        xs = [ZElement.from_coords(c) for c in btilde_cut(cartan, word, lam).coords]
+        for direction in (word.letters, word.reversed().letters):
+            states = set()
+            for x in xs:
+                for t, i in enumerate(direction):
+                    states.add((t, x))
+                    x = etilde_max(spec, x, i)[0]
+            runs.clear()
+            monkeypatch.setattr(binfinity, "etilde_max", counting)
+            peeled = peel_slice(spec, xs, direction)
+            monkeypatch.undo()
+            assert peeled == {x: string_param(spec, x, direction) for x in xs}
+            assert len(runs) == len(states) < len(xs) * len(direction)
+        with pytest.raises(ValueError, match="residue"):
+            peel_slice(spec, [*xs, ZElement.from_coords((0,) * (len(letters) - 1) + (1,))],
+                       word.letters)

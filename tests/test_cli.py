@@ -568,7 +568,9 @@ def _unbounded(forms):
 
 @pytest.mark.parametrize("family,rank,word,lam,forms,detail", [
     # wrong forms: level 0 holds only the origin, which the extra row keeps
-    ("A", "2", "1,2,1", "1,1", _with_extra_row, "k=0:ok,k=1:FAIL,k=2:FAIL"),
+    ("A", "2", "1,2,1", "1,1", _with_extra_row,
+     "k=0:ok,k=1:FAIL,k=2:FAIL; k=1: 8 cut points vs 3 lattice points; "
+     "first difference [1, 0, 0], only among the cut points"),
     # an unbounded system is a mismatch, not an error; this prefix's closure is
     # uncertified, so hrep_lattice does not run and only the levels read the system
     ("A", "3", "1,2,1,3", "1,1,1", _unbounded, "k=0:FAIL,k=1:FAIL,k=2:FAIL"),
@@ -672,6 +674,50 @@ def test_theorem_check_exit_two_on_mismatch(capsys, monkeypatch):
     assert code == 2
     doc = json.loads(out)
     assert "route_agreement" in doc["data"]["failed"]
+    route = next(c for c in doc["data"]["checks"] if c["name"] == "route_agreement")
+    assert route["detail"] == ("8 twisted-sweep points vs 1 cut points; "
+                               "first difference [0, 0, 0], only among the twisted-sweep points")
+
+
+def test_failing_rows_name_a_witness(capsys, monkeypatch):
+    # a sweep that misses (1, 1, 0): every row that compares the slice with
+    # another point set names the first sorted point the two do not share
+    original = cli.enumerate_demazure
+
+    def missing(cartan, word, lam):
+        dem = original(cartan, word, lam)
+        return dataclasses.replace(dem, coords=dem.coords - {(1, 1, 0)})
+
+    monkeypatch.setattr(cli, "enumerate_demazure", missing)
+    code, out, _ = run(capsys, ["theorem-check", "--type", "A", "--rank", "2",
+                                "--word", "1,2,1", "--lambda", "1,1"])
+    assert code == 2
+    details = {c["name"]: c["detail"] for c in json.loads(out)["data"]["checks"]
+               if not c["pass"]}
+    assert details == {
+        "route_agreement": "7 twisted-sweep points vs 8 cut points; "
+                           "first difference [1, 1, 0], only among the cut points",
+        "dimension": "7 points vs oracle 8",
+        "hrep_lattice": "8 lattice points vs 7 crystal points; "
+                        "first difference [1, 1, 0], only among the lattice points",
+        # the string chart of the reversed word sends (1, 1, 0) to (0, 1, 1)
+        "eta_string_bijection": "7 star-chart images vs 8 string points; "
+                                "first difference [0, 1, 1], only among the string points",
+        "value_set": "8 valuation exponents vs 7 crystal points; "
+                     "first difference [1, 1, 0], only among the valuation exponents"}
+
+
+def test_string_points_refuse_a_short_word_before_the_cut(capsys, monkeypatch):
+    # the cut grows with the weight (seconds at 16 rho) and a short word would discard it
+    def cut(*args):
+        raise AssertionError("string-points cut a slice along a short word")
+
+    monkeypatch.setattr(cli, "btilde_cut", cut)
+    code, out, err = run(capsys, ["string-points", "--type", "A", "--rank", "3",
+                                  "--word", "1,2,1,3,2", "--lambda", "16,16,16"])
+    assert code == 1 and out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: string points need a reduced word for the longest element"]
 
 
 def test_usage_errors_exit_one(capsys):

@@ -7,7 +7,7 @@ from crystal_polytope.binfinity import membership, star
 from crystal_polytope.demazure import (DemazureSet, btilde_cut, enumerate_demazure,
                                        string_points)
 from crystal_polytope.rootdata import ReducedWord, WeightVec, cartan_builtin, weyl_dim_oracle
-from crystal_polytope.zcrystal import SequenceSpec, ZElement, ftilde
+from crystal_polytope.zcrystal import SequenceSpec, ZElement, ftilde, ftilde_ray
 from reference import all_reduced_words_longest, eps, phi
 
 A2 = cartan_builtin("A", 2)
@@ -79,10 +79,11 @@ def starred_eps(spec, x):
     ("C", 3, (1, 2, 1, 3, 2, 1, 3, 2, 3)),
 ])
 def test_lowering_moves_the_starred_eps_by_the_kashiwara_saito_rule(family, rank, letters):
-    # on B(infinity) eps_i + eps*_i + <h_i, wt> >= 0; f_i raises eps*_i by 1
-    # exactly when that sum is 0 and leaves eps*_j alone for j != i
-    # (Kashiwara-Saito, Duke Math. J. 89, 1997, 3.2); every element of the
-    # slice of every prefix at rho, on the prefix's own index sequence
+    # on B(infinity) phi_i + eps*_i >= 0; f_i raises eps*_i by 1 exactly when
+    # that sum is 0 and leaves eps*_j alone for j != i (Kashiwara-Saito, Duke
+    # Math. J. 89, 1997, 3.2), which the cut applies to the phi its rays yield;
+    # every element of the slice of every prefix at rho, on the prefix's own
+    # index sequence, every letter i and every j, j == i included
     cartan = cartan_builtin(family, rank)
     for r in range(1, len(letters) + 1):
         word = ReducedWord(letters[:r])
@@ -91,15 +92,45 @@ def test_lowering_moves_the_starred_eps_by_the_kashiwara_saito_rule(family, rank
             x = ZElement.from_coords(coords)
             starred = starred_eps(spec, x)
             for i in cartan.index_set():
-                total = phi(spec, x, i) + starred[i - 1]
+                lowered, ray_phi = next(ftilde_ray(spec, x, i))
+                assert (lowered, ray_phi) == (ftilde(spec, x, i), phi(spec, x, i))
+                total = ray_phi + starred[i - 1]
                 assert total >= 0, (letters[:r], coords, i)
                 step = 1 if total == 0 else 0
                 expected = (*starred[:i - 1], starred[i - 1] + step, *starred[i:])
-                assert starred_eps(spec, ftilde(spec, x, i)) == expected, (letters[:r], coords, i)
+                assert starred_eps(spec, lowered) == expected, (letters[:r], coords, i)
 
 
-# lowering steps the cut makes on each chart: a ray ends one step past the
-# cap or at an element its stage already holds, so the count pins the rays
+def counted_rays(monkeypatch):
+    """Patch the rays the routes walk; returns [rays started, ray steps consumed]."""
+    made = [0, 0]
+    ray = demazure.ftilde_ray
+
+    def counting(*args):
+        made[0] += 1
+        for step in ray(*args):
+            made[1] += 1
+            yield step
+
+    monkeypatch.setattr(demazure, "ftilde_ray", counting)
+    return made
+
+
+def counted_scans(monkeypatch):
+    scans = []
+    scan = zcrystal._scan
+
+    def counting(*args):
+        scans.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(zcrystal, "_scan", counting)
+    return scans
+
+
+# lowering steps the cut takes from its rays on each chart: a ray ends one
+# step past the cap or at an element its stage already holds, so the count
+# pins the rays
 CUT_STEPS = [(C2, W_C2, RHO2.scale(2), 142),
              (cartan_builtin("G", 2), ReducedWord((1, 2, 1, 2, 1, 2)), RHO2, 174),
              (cartan_builtin("C", 3), ReducedWord((1, 2, 1, 3, 2, 1, 3, 2, 3)), RHO3, 1523)]
@@ -115,27 +146,17 @@ def test_cut_route_builds_no_star_partner(monkeypatch, cartan, word, lam, steps)
             raise AssertionError(f"the cut route called {name}")
         return call
 
-    lowered = 0
-    carry = demazure.ftilde_starred
-
-    def lowering(*args):
-        nonlocal lowered
-        lowered += 1
-        return carry(*args)
-
     for name in ("_star_of_member", "star"):
         monkeypatch.setattr(binfinity, name, forbidden(name))
-    for module, names in ((demazure, ("twist_ftilde",)),
-                          (zcrystal, ("twist_ftilde", "twist_etilde"))):
-        for name in names:
-            monkeypatch.setattr(module, name, forbidden(name))
-    monkeypatch.setattr(demazure, "ftilde_starred", lowering)
+    for name in ("twist_ftilde", "twist_etilde"):
+        monkeypatch.setattr(zcrystal, name, forbidden(name))
+    made = counted_rays(monkeypatch)
     assert btilde_cut(cartan, word, lam).coords == expected
-    assert lowered == steps
+    assert made[1] == steps
 
 
-# twisted lowering calls the sweep makes on each chart, the refused last call
-# of every ray included: the sweep has no early stop, so the count pins its rays
+# ray steps the sweep takes on each chart, the refused last step of every ray
+# included: the sweep has no early stop, so the count pins its rays
 SWEEP_CALLS = [(C2, W_C2, RHO2.scale(2), 179),
                (cartan_builtin("G", 2), ReducedWord((1, 2, 1, 2, 1, 2)), RHO2, 252),
                (cartan_builtin("C", 3), ReducedWord((1, 2, 1, 3, 2, 1, 3, 2, 3)), RHO3, 2139)]
@@ -145,17 +166,22 @@ SWEEP_CALLS = [(C2, W_C2, RHO2.scale(2), 179),
                          ids=["C2 2rho", "G2 rho", "C3 rho"])
 def test_sweep_route_walks_each_ray_to_its_refusal(monkeypatch, cartan, word, lam, calls):
     expected = btilde_cut(cartan, word, lam).coords
-    made = 0
-    step = demazure.twist_ftilde
-
-    def lowering(*args):
-        nonlocal made
-        made += 1
-        return step(*args)
-
-    monkeypatch.setattr(demazure, "twist_ftilde", lowering)
+    made = counted_rays(monkeypatch)
     assert enumerate_demazure(cartan, word, lam).coords == expected
-    assert made == calls
+    assert made[1] == calls
+
+
+@pytest.mark.parametrize("route", [enumerate_demazure, btilde_cut], ids=["sweep", "cut"])
+@pytest.mark.parametrize("cartan,word,lam", [case[:3] for case in CUT_STEPS],
+                         ids=["C2 2rho", "G2 rho", "C3 rho"])
+def test_each_route_scans_once_per_ray(monkeypatch, route, cartan, word, lam):
+    # a ray starts at every element of every stage: the stages' sizes before
+    # each letter, summed, are the rays, and each ray is one kernel scan
+    stages = [len(route(cartan, ReducedWord(word.letters[:k]), lam)) for k in range(len(word))]
+    made = counted_rays(monkeypatch)
+    scans = counted_scans(monkeypatch)
+    route(cartan, word, lam)
+    assert len(scans) == made[0] == sum(stages)
 
 
 def test_sweep_is_word_order_sensitive_but_longest_is_not():

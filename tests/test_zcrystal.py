@@ -1,12 +1,14 @@
 """Sequence crystal: local data, operators, and the weight-twisted variant."""
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from crystal_polytope.rootdata import ReducedWord, WeightVec, cartan_builtin
 from crystal_polytope import zcrystal
 from crystal_polytope.zcrystal import (SequenceSpec, ZElement, etilde, etilde_max, ftilde,
-                                       ftilde_run, ftilde_starred, letter_max, twist_etilde,
+                                       ftilde_ray, ftilde_run, letter_max, twist_etilde,
                                        twist_ftilde)
 from reference import eps, lowering_step, phi, raising_step, sigma_k, twisted_statistics, wt
 
@@ -247,10 +249,14 @@ def ladder_signed_point_letter(draw):
 @given(ladder_signed_point_letter(), st.integers(0, 5))
 def test_lowering_run_is_repeated_lowering(data, a):
     spec, x, i = data
-    expected = x
+    expected, steps = x, []
     for _ in range(a):
-        expected = lowering_step(spec, expected, i)
+        lowered = lowering_step(spec, expected, i)
+        steps.append((lowered, phi(spec, expected, i)))
+        expected = lowered
     assert ftilde_run(spec, x, i, a) == expected
+    # the ray yields each step and the phi of the element it starts from
+    assert list(islice(ftilde_ray(spec, x, i), a)) == steps
     if a == 1:
         assert ftilde(spec, x, i) == expected
 
@@ -268,12 +274,15 @@ def test_raising_run_is_repeated_raising(data):
 
 @pytest.mark.parametrize("call", [
     lambda s, x: etilde(s, x, 1), lambda s, x: etilde_max(s, x, 1),
-    lambda s, x: ftilde(s, x, 1), lambda s, x: ftilde_starred(s, x, 1, (1, 0)),
+    lambda s, x: ftilde(s, x, 1), lambda s, x: ftilde_run(s, x, 1, 5),
+    lambda s, x: list(islice(ftilde_ray(s, x, 1), 5)),
     lambda s, x: twist_etilde(s, x, 1, 1), lambda s, x: twist_ftilde(s, x, 1, 1)],
-    ids=["etilde", "etilde_max", "ftilde", "ftilde_starred", "twist_etilde", "twist_ftilde"])
+    ids=["etilde", "etilde_max", "ftilde", "ftilde_run", "ftilde_ray", "twist_etilde",
+         "twist_ftilde"])
 def test_each_statistic_and_operator_scans_once(monkeypatch, call):
-    # eps, phi and the step all come from one kernel scan; (0, 1, 1) has
-    # eps_1 = 1 and phi_1 = 0, so at the cap rho_1 = 1 every operator here moves it
+    # eps, phi and the step all come from one kernel scan, and so do the five
+    # steps of a run or a ray; (0, 1, 1) has eps_1 = 1 and phi_1 = 0, so at the
+    # cap rho_1 = 1 every operator here moves it
     scans = []
     original = zcrystal._scan
 
