@@ -2,7 +2,8 @@
 
 Everything here is exact: weights and roots live in integer coordinate
 vectors, inequality systems carry integer coefficients, and polynomial
-computations use ``fractions.Fraction``.  No floats anywhere.
+coefficients stay Python ints on the span path, with ``fractions.Fraction``
+only where parsed input brings it.  No floats anywhere.
 
 Word convention used throughout: a reduced word is stored in application
 order.  ``word = (j_1, ..., j_r)`` means the lowering operator indexed

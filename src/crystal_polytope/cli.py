@@ -147,7 +147,7 @@ def _parser() -> _Parser:
     chart_command("ample", "certify the closure and test the weight",
                   need_lambda=True, closure=True)
     p = sub.add_parser("valuation", help="highest-term valuation of a polynomial")
-    p.add_argument("--vars", type=int, required=True)
+    p.add_argument("--vars", type=_nonneg_int, required=True)
     p.add_argument("--order", choices=["hi", "tilde"], required=True)
     p.add_argument("--poly", required=True)
     p.add_argument("--format", choices=["json", "csv"], default="json")

@@ -1,24 +1,28 @@
 """Exact multivariate polynomials, highest-term valuations, and section spans.
 
-Polynomials are rational-coefficient, stored as sorted exponent-tuple
-terms.  The two valuation flavors are lexicographic highest-term maps:
-one ranks variables first-to-last, the other last-to-first; both send a
+Polynomials are stored as sorted exponent-tuple terms with exact
+coefficients: Python ints on the span path, from the generators to the
+value set, and ``Fraction`` only where parsed input brings it.  The two
+valuation flavors are lexicographic highest-term maps: one ranks
+variables first-to-last, the other last-to-first; both send a
 polynomial to minus the exponent vector of its maximal monomial.  The
 span machinery builds the product of the factors exp(t_k F) = I + t_k F
 of square-zero generators by column operations, expands its minors on
 the first columns column by column, multiplies them into the standard
 monomials of a weight, which span the modeled sections, and reads off
-achieved values by exact Gaussian elimination against the chosen
-monomial order.
+achieved values by fraction-free Gaussian elimination against the
+chosen monomial order.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
 
 from .rootdata import CartanMatrix, ReducedWord, WeightVec, cartan_builtin
 
@@ -36,13 +40,14 @@ def _order_key(order: ValuationOrder, exps: tuple) -> tuple:
 
 @dataclass(frozen=True)
 class MultiPoly:
-    """Sum of coeff * t^exps with Fraction coefficients, exact."""
+    """Sum of coeff * t^exps, exact: int coefficients unless input brings Fractions."""
 
     nvars: int
-    terms: tuple  # sorted tuple of (exps tuple, Fraction), coeffs nonzero
+    terms: tuple  # sorted tuple of (exps tuple, int or Fraction), coeffs nonzero
 
     @staticmethod
     def make(nvars: int, data: dict) -> "MultiPoly":
+        """Validate outside input: exponent vectors checked, coefficients made Fractions."""
         clean = []
         for exps, c in data.items():
             c = Fraction(c)
@@ -55,19 +60,24 @@ class MultiPoly:
         return MultiPoly(nvars, tuple(sorted(clean)))
 
     @staticmethod
+    def _of(nvars: int, data: dict) -> "MultiPoly":
+        # terms built from checked ones: zeros dropped, coefficients kept as they are
+        return MultiPoly(nvars, tuple(sorted((e, c) for e, c in data.items() if c)))
+
+    @staticmethod
     def zero(nvars: int) -> "MultiPoly":
         return MultiPoly(nvars, ())
 
     @staticmethod
     def constant(nvars: int, c) -> "MultiPoly":
-        return MultiPoly.make(nvars, {(0,) * nvars: Fraction(c)})
+        return MultiPoly._of(nvars, {(0,) * nvars: c})
 
     @staticmethod
     def variable(nvars: int, k: int) -> "MultiPoly":
         if not 1 <= k <= nvars:
             raise ValueError("variable index out of range")
         exps = tuple(1 if j == k else 0 for j in range(1, nvars + 1))
-        return MultiPoly.make(nvars, {exps: 1})
+        return MultiPoly._of(nvars, {exps: 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -75,23 +85,22 @@ class MultiPoly:
     def add(self, other: "MultiPoly") -> "MultiPoly":
         d = dict(self.terms)
         for e, c in other.terms:
-            d[e] = d.get(e, Fraction(0)) + c
-        return MultiPoly.make(self.nvars, d)
+            d[e] = d.get(e, 0) + c
+        return MultiPoly._of(self.nvars, d)
 
     def sub(self, other: "MultiPoly") -> "MultiPoly":
         return self.add(other.scale(-1))
 
     def scale(self, c) -> "MultiPoly":
-        c = Fraction(c)
-        return MultiPoly.make(self.nvars, {e: c * v for e, v in self.terms})
+        return MultiPoly._of(self.nvars, {e: c * v for e, v in self.terms})
 
     def mul(self, other: "MultiPoly") -> "MultiPoly":
         d = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                d[e] = d.get(e, Fraction(0)) + c1 * c2
-        return MultiPoly.make(self.nvars, d)
+                e = tuple(map(operator.add, e1, e2))
+                d[e] = d.get(e, 0) + c1 * c2
+        return MultiPoly._of(self.nvars, d)
 
     def total_degree(self) -> int:
         return max((sum(e) for e, _ in self.terms), default=0)
@@ -290,7 +299,7 @@ def restrict_span(span: list, r: int) -> list:
     for f in span:
         cut = {e[:r]: c for e, c in f.terms if not any(e[r:])}
         if cut:
-            out.append(MultiPoly.make(r, cut))
+            out.append(MultiPoly._of(r, cut))
     return out
 
 
@@ -320,19 +329,37 @@ def products_closure(polys: list, degree_cap: int) -> list:
 def value_set_of_span(polys: list, order: ValuationOrder) -> frozenset:
     """Values achieved on the linear span of the polynomials.
 
-    Exact Gaussian elimination: each polynomial is reduced against the
-    pivots found so far (keyed by leading monomial under the order);
-    every surviving leading monomial contributes one achieved value.
-    The achieved set is unchanged by working degree by degree, since
-    reduction never mixes monomials across the chosen order.
+    Fraction-free Gaussian elimination (Bareiss) in ints: each
+    polynomial, cleared of denominators, is reduced against the pivots
+    found so far, keyed by leading monomial under the order and kept with
+    their leading coefficient pc.  A row g with leading coefficient c
+    becomes g - (c // pc) * p when pc divides c, else pc * g - c * p, and
+    is then divided by the gcd of its coefficients.  Every surviving
+    leading monomial contributes one achieved value.  The achieved set is
+    unchanged by working degree by degree, since reduction never mixes
+    monomials across the chosen order.
     """
+    rank = None if order is ValuationOrder.HI else (lambda e: e[::-1])
     pivots = {}
     for f in polys:
-        g = f
-        while not g.is_zero():
-            e, c = g.leading(order)
-            if e not in pivots:
-                pivots[e] = g.scale(Fraction(1, 1) / c)
+        m = lcm(*(c.denominator for _, c in f.terms))
+        g = {e: int(c * m) for e, c in f.terms}
+        while g:
+            e = max(g, key=rank)
+            p = pivots.get(e)
+            if p is None:
+                pivots[e] = g
                 break
-            g = g.sub(pivots[e].scale(c))
+            c, pc = g[e], p[e]
+            if c % pc:
+                g = {x: pc * v for x, v in g.items()}
+            else:
+                c //= pc
+            for x, v in p.items():
+                if w := g.get(x, 0) - c * v:
+                    g[x] = w
+                else:
+                    g.pop(x, None)
+            if (d := gcd(*g.values())) > 1:
+                g = {x: v // d for x, v in g.items()}
     return frozenset(tuple(-x for x in _order_key(order, e)) for e in pivots)

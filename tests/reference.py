@@ -5,8 +5,9 @@ the derivative orders against ``valuation.value``, the full exponential
 series product against ``valuation.unipotent_product``, Leibniz sums
 over permutations against ``valuation.column_minors`` and its column
 expansion, every product of those minors against the standard monomials
-of ``valuation.section_span``, weight
-reflections for the brute-force reduced-word oracle, the two-template
+of ``valuation.section_span``, Gaussian elimination in ``Fraction``s
+with monic pivots against the fraction-free ``valuation.value_set_of_span``,
+weight reflections for the brute-force reduced-word oracle, the two-template
 descent (a form toward the next and one toward the previous occurrence
 of a letter, each found by its own walk over the letters) against
 ``inequalities.shat`` and the table of ``inequalities.descent_templates``,
@@ -37,7 +38,7 @@ from crystal_polytope.inequalities import AffineForm
 from crystal_polytope.polytope import HalfSpaceSystem, bounding_box
 from crystal_polytope.rootdata import (CartanMatrix, WeightVec, is_reduced, num_positive_roots,
                                        positive_roots)
-from crystal_polytope.valuation import MultiPoly
+from crystal_polytope.valuation import MultiPoly, value
 from crystal_polytope.zcrystal import SequenceSpec, ZElement
 
 
@@ -151,6 +152,20 @@ def all_products_span(matrix: tuple, lam: WeightVec) -> list:
                 prod = prod.mul(f)
         span.append(prod)
     return span
+
+
+def fraction_value_set(polys: list, order) -> frozenset:
+    """Values achieved on the span, by elimination against monic pivots in Fractions."""
+    pivots = {}
+    for f in polys:
+        g = f
+        while not g.is_zero():
+            e, c = g.leading(order)
+            if e not in pivots:
+                pivots[e] = g.scale(Fraction(1, 1) / c)
+                break
+            g = g.sub(pivots[e].scale(c))
+    return frozenset(value(p, order) for p in pivots.values())
 
 
 def reflect(cartan: CartanMatrix, i: int, lam: WeightVec) -> WeightVec:

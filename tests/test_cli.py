@@ -485,6 +485,41 @@ THEOREM_CHECK_STDOUT = {
         '"ample"]}, "meta": {"convention": "word is application-ordered, j_1 first", '
         '"lambda": [1, 1, 1], "word": [1, 2, 1, 3, 2, 1]}}\n'
     ),
+    # degree 3 products of the A2 sections, from the integer span path
+    ("A", "2", "1,2,1", "1,1", ("--degree-cap", "3")): (
+        '{"data": {"checks": [{"detail": "8 twisted-sweep points vs 8 cut points", '
+        '"name": "route_agreement", "pass": true}, {"detail": "8 points vs oracle 8", '
+        '"name": "dimension", "pass": true}, {"detail": "11 forms", '
+        '"name": "closure_certified", "pass": true}, '
+        '{"detail": "constants nonnegative at this weight", "name": "ample", '
+        '"pass": true}, {"detail": "8 lattice points vs 8 crystal points", '
+        '"name": "hrep_lattice", "pass": true}, {"detail": "k=0:ok,k=1:ok,k=2:ok", '
+        '"name": "semigroup_levels", "pass": true}, '
+        '{"detail": "8 star-chart images vs 8 string points", '
+        '"name": "eta_string_bijection", "pass": true}, '
+        '{"detail": "8 valuation exponents vs 8 crystal points", "name": "value_set", '
+        '"pass": true}, {"detail": "13 closure values up to degree 3", '
+        '"name": "cone_values_members", "pass": true}], "failed": []}, '
+        '"meta": {"convention": "word is application-ordered, j_1 first", "lambda": [1, '
+        '1], "word": [1, 2, 1]}}\n'
+    ),
+    # window 8 certifies the A3 closure, so every check passes
+    ("A", "3", "1,2,1,3,2,1", "1,1,1", ("--window", "8")): (
+        '{"data": {"checks": [{"detail": "64 twisted-sweep points vs 64 cut points", '
+        '"name": "route_agreement", "pass": true}, {"detail": "64 points vs oracle 64", '
+        '"name": "dimension", "pass": true}, {"detail": "56 forms", '
+        '"name": "closure_certified", "pass": true}, '
+        '{"detail": "constants nonnegative at this weight", "name": "ample", '
+        '"pass": true}, {"detail": "64 lattice points vs 64 crystal points", '
+        '"name": "hrep_lattice", "pass": true}, {"detail": "k=0:ok,k=1:ok,k=2:ok", '
+        '"name": "semigroup_levels", "pass": true}, '
+        '{"detail": "64 star-chart images vs 64 string points", '
+        '"name": "eta_string_bijection", "pass": true}, '
+        '{"detail": "64 valuation exponents vs 64 crystal points", "name": "value_set", '
+        '"pass": true}], "failed": []}, '
+        '"meta": {"convention": "word is application-ordered, j_1 first", "lambda": [1, '
+        '1, 1], "word": [1, 2, 1, 3, 2, 1]}}\n'
+    ),
 }
 
 
@@ -773,6 +808,10 @@ def test_weight_of_the_wrong_rank_is_rejected(capsys, command, lam, error):
      "error: variable t5 out of range (nvars=3)"),
     (["valuation", "--vars", "1", "--order", "hi", "--poly", "1/0"],
      "error: zero denominator in '1/0'"),
+    # argparse names the flag
+    (["valuation", "--vars", "-1", "--order", "hi", "--poly", "1"],
+     "crystal-polytope valuation: error: argument --vars: "
+     "expected a nonnegative integer, got '-1'"),
     # the valuation side exists for type A only, so the cap would check nothing
     (["theorem-check", "--type", "C", "--rank", "2", "--word", "1,2,1,2", "--lambda", "1,1",
       "--degree-cap", "2"],
@@ -789,9 +828,13 @@ def test_weight_of_the_wrong_rank_is_rejected(capsys, command, lam, error):
      "error: string points need a reduced word for the longest element"),
 ])
 def test_data_errors_exit_one_with_one_error_line(capsys, argv, error):
-    code, out, err = run(capsys, argv)
-    assert code == 1 and out == ""
-    assert [line for line in err.splitlines() if line.startswith("error:")] == [error]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # a usage error, reported by argparse
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [error]
 
 
 def test_gcm_file_equivalent_to_builtin(capsys, tmp_path):

@@ -5,14 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from crystal_polytope.demazure import enumerate_demazure
+from crystal_polytope.demazure import btilde_cut, enumerate_demazure
 from crystal_polytope.rootdata import ReducedWord, WeightVec, cartan_builtin, weyl_dim_oracle
 from crystal_polytope.valuation import (MultiPoly, ValuationOrder,
                                         builtin_generators, column_minors, parse_poly,
                                         products_closure, restrict_span, section_span,
                                         unipotent_product, value, value_set_of_span)
 from reference import (all_products_span, all_reduced_words, chevalley_value,
-                       exp_series_product, leibniz_minors)
+                       exp_series_product, fraction_value_set, leibniz_minors)
 
 A2 = cartan_builtin("A", 2)
 C2 = cartan_builtin("C", 2)
@@ -274,3 +274,47 @@ def test_value_set_counts_independent_leading_terms():
     assert value_set_of_span(span, HI) == frozenset({(-1, 0), (0, -1)})
     dependent = [parse_poly("t1", 2), parse_poly("2*t1", 2)]
     assert value_set_of_span(dependent, HI) == frozenset({(-1, 0)})
+
+
+def test_value_set_equals_the_fraction_elimination_on_random_spans():
+    # few monomials force reductions; leading coefficients other than +-1 take
+    # both reduction steps, and parsed rationals bring Fraction coefficients
+    rng = random.Random(26)
+    coeffs = [c for c in range(-6, 7) if c]
+
+    def mono(e):
+        return "*".join(f"t{j + 1}^{x}" for j, x in enumerate(e) if x) or "1"
+
+    for _ in range(300):
+        nvars = rng.randint(1, 3)
+        pool = sorted({tuple(rng.randint(0, 2) for _ in range(nvars)) for _ in range(6)})
+        span = []
+        for _ in range(rng.randint(1, 8)):
+            support = rng.sample(pool, rng.randint(1, len(pool)))
+            kind = rng.random()
+            if kind < 0.3:
+                text = " + ".join(f"{rng.choice(coeffs)}/{rng.randint(1, 4)}*{mono(e)}"
+                                  for e in support)
+                span.append(parse_poly(text, nvars))
+            elif kind < 0.5 and len(span) >= 2:
+                f, g = rng.sample(span, 2)
+                span.append(f.scale(rng.choice(coeffs)).add(g.scale(rng.choice(coeffs))))
+            else:
+                terms = tuple((e, rng.choice(coeffs)) for e in sorted(support))
+                span.append(MultiPoly(nvars, terms))
+        for order in (HI, TILDE):
+            assert value_set_of_span(span, order) == fraction_value_set(span, order), span
+
+
+def test_span_path_keeps_int_coefficients():
+    mat = unipotent_product(_longest_type_a(3), builtin_generators(cartan_builtin("A", 3)))
+    span = section_span(mat, WeightVec((1, 2, 1)))
+    for polys in (span, restrict_span(span, 4)):
+        assert polys and {type(c) for f in polys for _, c in f.terms} == {int}
+
+
+def test_a4_rho_value_set_equals_the_cut():
+    cartan, word, rho = cartan_builtin("A", 4), _longest_type_a(4), WeightVec((1, 1, 1, 1))
+    span = section_span(unipotent_product(word, builtin_generators(cartan)), rho)
+    exps = {tuple(-x for x in v) for v in value_set_of_span(span, HI)}
+    assert len(exps) == 1024 and exps == set(btilde_cut(cartan, word, rho).coords)
