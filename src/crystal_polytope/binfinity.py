@@ -27,9 +27,9 @@ def membership(spec: SequenceSpec, x: ZElement) -> bool:
     """Greedy raising in runs terminates at zero exactly on image elements."""
     cur = x
     while True:
-        if any(v < 0 for v in cur.values):
+        if any(v < 0 for v in cur):
             return False
-        if cur.is_zero():
+        if not cur:
             return True
         for i in spec.cartan.index_set():
             raised, count = etilde_max(spec, cur, i)
@@ -54,10 +54,10 @@ def _star_of_member(spec: SequenceSpec, x: ZElement) -> ZElement:
     is built by a_K lowerings at the top letter, then a_{K-1}, down to
     a_1 lowerings at the first letter.
     """
-    out = ZElement.zero()
-    letters = spec.letter_table(x.support_max())
-    for pos in range(x.support_max(), 0, -1):
-        a = x.values[pos - 1]
+    out = ZElement()
+    letters = spec.letter_table(len(x))
+    for pos in range(len(x), 0, -1):
+        a = x[pos - 1]
         if a:
             out = ftilde_run(spec, out, letters[pos - 1], a)
     return out
@@ -75,7 +75,7 @@ def string_param(spec: SequenceSpec, x: ZElement, direction: tuple[int, ...]) ->
     for i in direction:
         cur, count = etilde_max(spec, cur, i)
         out.append(count)
-    if not cur.is_zero():
+    if cur:
         raise ValueError(f"string peeling left a nonzero residue {cur!r} after letters {direction}")
     return tuple(out)
 
@@ -93,7 +93,7 @@ def peel_slice(spec: SequenceSpec, xs, direction: tuple[int, ...]) -> dict:
             top, count = etilde_max(spec, cur, i)
             raised.setdefault(top, []).extend((x, s + (count,)) for x, s in reached)
         states = raised
-    for cur in states.keys() - {ZElement.zero()}:
+    for cur in states.keys() - {ZElement()}:
         raise ValueError(f"string peeling left a nonzero residue {cur!r} after letters {direction}")
     return dict(pair for reached in states.values() for pair in reached)
 

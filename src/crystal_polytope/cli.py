@@ -241,7 +241,7 @@ def _dispatch(args) -> int:
             raise
         if args.command == "star":
             # a short word's partner can reach past N: print its whole support
-            out = out.coords(max(num_positive_roots(cartan), out.support_max()))
+            out = out.coords(max(num_positive_roots(cartan), len(out)))
         data = {"point": list(args.point), args.command: list(out)}
         _emit(args, meta, data, [out])
         return 0

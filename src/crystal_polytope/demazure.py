@@ -61,7 +61,7 @@ def enumerate_demazure(cartan: CartanMatrix, word: ReducedWord, lam: WeightVec) 
     _validate(cartan, word, lam)
     spec = SequenceSpec(cartan, word)
     r = len(word.letters)
-    current = {ZElement.zero()}
+    current = {ZElement()}
     for k in range(1, r + 1):
         i = word[k]
         swept = set(current)
@@ -90,7 +90,7 @@ def btilde_cut(cartan: CartanMatrix, word: ReducedWord, lam: WeightVec) -> Demaz
     _validate(cartan, word, lam)
     spec = SequenceSpec(cartan, word)
     r = len(word.letters)
-    current = {ZElement.zero(): (0,) * cartan.rank}  # element -> its starred eps
+    current = {ZElement(): (0,) * cartan.rank}  # element -> its starred eps
     for k in range(1, r + 1):
         i = word[k]
         swept = dict(current)

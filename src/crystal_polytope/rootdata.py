@@ -118,8 +118,9 @@ def _reflect(cartan: CartanMatrix, i: int, root: tuple[int, ...]) -> tuple[int, 
     return root[:i - 1] + (root[i - 1] - amount,) + root[i:]
 
 
+@functools.cache
 def cartan_builtin(family: str, rank: int) -> CartanMatrix:
-    """Cartan matrix of a finite family, Bourbaki numbering.
+    """Cartan matrix of a finite family, Bourbaki numbering, built once per argument pair.
 
     Type C has its long root last: ``pairing(n-1, n) == -2``.  Type B is
     the transpose of that corner.  For rank 2 this makes ``("C", 2)``

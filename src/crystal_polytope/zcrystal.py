@@ -2,6 +2,10 @@
 
 An index sequence assigns a letter to every position 1, 2, 3, ...; the
 crystal elements are finitely supported integer vectors on positions.
+An element is its trimmed tuple (``ZElement``, a tuple subclass): entry
+k - 1 is the value at position k, with trailing zeros dropped, so the
+zero element is the empty tuple and the length is the top of the support.
+
 For each letter i the local quantities at position k are
 
     sigma_k(x) = x_k + sum over j > k of pairing(letter(k), letter(j)) * x_j
@@ -36,15 +40,16 @@ from dataclasses import dataclass, field
 from .rootdata import CartanMatrix, ReducedWord
 
 
-@dataclass(frozen=True)
-class ZElement:
+class ZElement(tuple):
     """Finitely supported integer vector on positions 1, 2, 3, ...
 
-    Canonical form: ``values[p - 1]`` is the entry at position p, dense
-    from position 1, with trailing zeros trimmed.
+    The element is its trimmed tuple: entry p - 1 is the value at
+    position p, dense from position 1, with trailing zeros trimmed, so
+    ``ZElement()`` is zero, ``len`` is the largest position in the
+    support, and equality and hashing are the tuple's own.
     """
 
-    values: tuple[int, ...]
+    __slots__ = ()
 
     @staticmethod
     def from_coords(coords) -> "ZElement":
@@ -55,33 +60,22 @@ class ZElement:
             end -= 1
         return ZElement(values[:end])
 
-    @staticmethod
-    def zero() -> "ZElement":
-        return ZElement(())
-
-    def support_max(self) -> int:
-        """Largest position with a nonzero entry; 0 for the zero element."""
-        return len(self.values)
-
-    def is_zero(self) -> bool:
-        return not self.values
-
     def coords(self, length: int) -> tuple[int, ...]:
-        extra = len(self.values) - length
+        extra = len(self) - length
         if extra > 0:
-            p = length + next(k for k, v in enumerate(self.values[length:], 1) if v)
+            p = length + next(k for k, v in enumerate(self[length:], 1) if v)
             raise ValueError(f"support reaches position {p} beyond requested length {length}")
-        return self.values + (0,) * -extra
+        return self + (0,) * -extra
 
     def bump(self, pos: int, delta: int) -> "ZElement":
         if pos < 1:
             raise ValueError("positions are 1-based")
-        values = list(self.values) + [0] * (pos - len(self.values))
+        values = list(self) + [0] * (pos - len(self))
         values[pos - 1] += delta
         return ZElement.from_coords(values)
 
     def __repr__(self):
-        return f"ZElement{self.values}" if self.values else "ZElement(0)"
+        return f"ZElement{tuple.__repr__(self)}" if self else "ZElement(0)"
 
 
 @dataclass(frozen=True)
@@ -144,14 +138,13 @@ def _scan(spec: SequenceSpec, x: ZElement, i: int) -> tuple[list[int], list[int]
     minus the i-th coordinate of wt(x).  Every position of letter i past
     the support has sigma 0.
     """
-    values = x.values
-    letters = spec.letter_table(len(values))
+    letters = spec.letter_table(len(x))
     row = spec.cartan.rows[i - 1]
     positions: list[int] = []
     sigmas: list[int] = []
     after = 0
-    for k in range(len(values) - 1, -1, -1):
-        v = values[k]
+    for k in range(len(x) - 1, -1, -1):
+        v = x[k]
         l = letters[k]
         if l == i:
             positions.append(k + 1)
@@ -217,7 +210,7 @@ def _lower(spec: SequenceSpec, i: int, a: int, values: list[int],
 def ftilde_ray(spec: SequenceSpec, x: ZElement, i: int):
     """Endless lowering ray on one kernel scan: f_i y and phi_i(y) for y = x, f_i x, ..."""
     positions, sigmas, paired = _scan(spec, x, i)
-    values = list(x.values)
+    values = list(x)
     sigmas.append(0)
     while True:
         phi = max(sigmas) - paired
@@ -234,7 +227,7 @@ def _raise(x: ZElement, positions: list[int], sigmas: list[int],
     largest attaining position q moves sigma_q by -1 and each earlier
     same-letter sigma by -2; the zero tail never attains a positive max.
     """
-    values = list(x.values)
+    values = list(x)
     count = 0
     while count != limit and sigmas and (best := max(sigmas)) > 0:
         q = len(sigmas) - 1 - sigmas[::-1].index(best)
@@ -250,7 +243,7 @@ def ftilde_run(spec: SequenceSpec, x: ZElement, i: int, a: int) -> ZElement:
     """The lowering operator f_i applied a times, on one kernel scan."""
     positions, sigmas, _ = _scan(spec, x, i)
     sigmas.append(0)
-    return ZElement.from_coords(_lower(spec, i, a, list(x.values), positions, sigmas))
+    return ZElement.from_coords(_lower(spec, i, a, list(x), positions, sigmas))
 
 
 def etilde_max(spec: SequenceSpec, x: ZElement, i: int) -> tuple[ZElement, int]:

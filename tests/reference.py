@@ -339,19 +339,18 @@ def weyl_dim_symmetrized(cartan: CartanMatrix, lam: WeightVec) -> int:
 def sigma_k(spec: SequenceSpec, x: ZElement, k: int) -> int:
     """x_k plus the pairing-weighted sum of all later entries, one entry at a time."""
     i = spec.letter(k)
-    values = x.values
-    own = values[k - 1] if k <= len(values) else 0
-    return own + sum(spec.cartan.pairing(i, spec.letter(j)) * values[j - 1]
-                     for j in range(k + 1, len(values) + 1))
+    own = x[k - 1] if k <= len(x) else 0
+    return own + sum(spec.cartan.pairing(i, spec.letter(j)) * x[j - 1]
+                     for j in range(k + 1, len(x) + 1))
 
 
 def greedy_membership(spec: SequenceSpec, x: ZElement) -> bool:
     """Raise one step at a time at the smallest letter with positive eps; members reach zero."""
     cur = x
     while True:
-        if any(v < 0 for v in cur.values):
+        if any(v < 0 for v in cur):
             return False
-        if cur.is_zero():
+        if not cur:
             return True
         for i in spec.cartan.index_set():
             raised = raising_step(spec, cur, i)
@@ -369,7 +368,7 @@ def lowering_step(spec: SequenceSpec, x: ZElement, i: int) -> ZElement:
     and one tail cycle plus one position, a window that shows every
     letter past the support, where sigma is 0.
     """
-    window = max(x.support_max(), len(spec.base.letters)) + spec.cartan.rank + 1
+    window = max(len(x), len(spec.base.letters)) + spec.cartan.rank + 1
     sigmas = {k: sigma_k(spec, x, k) for k in range(1, window + 1) if spec.letter(k) == i}
     best = max([0, *sigmas.values()])
     return x.bump(min(k for k, s in sigmas.items() if s == best), +1)
@@ -382,7 +381,7 @@ def raising_step(spec: SequenceSpec, x: ZElement, i: int) -> ZElement | None:
     Past the support every sigma_k is 0, so a positive max is attained in
     the support, and only the support's sigma_k are computed.
     """
-    sigmas = {k: sigma_k(spec, x, k) for k in range(1, x.support_max() + 1)
+    sigmas = {k: sigma_k(spec, x, k) for k in range(1, len(x) + 1)
               if spec.letter(k) == i}
     best = max([0, *sigmas.values()])
     if best == 0:
@@ -392,14 +391,14 @@ def raising_step(spec: SequenceSpec, x: ZElement, i: int) -> ZElement | None:
 
 def eps(spec: SequenceSpec, x: ZElement, i: int) -> int:
     """The max of 0 and every sigma_k of letter i in the support; past it sigma_k is 0."""
-    return max([0, *(sigma_k(spec, x, k) for k in range(1, x.support_max() + 1)
+    return max([0, *(sigma_k(spec, x, k) for k in range(1, len(x) + 1)
                      if spec.letter(k) == i)])
 
 
 def wt(spec: SequenceSpec, x: ZElement) -> tuple:
     """Weight in simple-root coefficients: minus the entries of each letter, summed."""
     coeffs = [0] * spec.cartan.rank
-    for k, v in enumerate(x.values, 1):
+    for k, v in enumerate(x, 1):
         coeffs[spec.letter(k) - 1] -= v
     return tuple(coeffs)
 

@@ -22,6 +22,10 @@ def test_builtin_shapes():
         cartan_builtin("E", 4)
 
 
+def test_builtin_matrices_are_built_once():
+    assert cartan_builtin("A", 3) is cartan_builtin("A", 3)
+
+
 def test_cartan_validation():
     with pytest.raises(ValueError):
         CartanMatrix(((2, 0), (-1, 2)))  # zero must be symmetric

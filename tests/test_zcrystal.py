@@ -32,6 +32,32 @@ def test_tail_letters_cover_every_index():
         assert SPEC_A2.letter(k) != SPEC_A2.letter(k + 1)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-3, 3), max_size=8))
+def test_an_element_is_its_trimmed_tuple(v):
+    trimmed = list(v)
+    while trimmed and trimmed[-1] == 0:
+        trimmed.pop()
+    x = ZElement.from_coords(v)
+    assert isinstance(x, tuple) and x == tuple(trimmed) and hash(x) == hash(tuple(trimmed))
+    assert len(x) == len(trimmed)  # the largest position in the support
+    assert x.coords(len(v)) == tuple(v)
+
+
+def test_element_contract():
+    assert ZElement() == ZElement.from_coords((0, 0)) == () and not ZElement()
+    assert not hasattr(ZElement(), "__dict__")  # no field beside the tuple's entries
+    x = ZElement.from_coords((1, 0, 2, 0))
+    assert len(x) == 3 and x
+    assert repr(ZElement()) == "ZElement(0)" and repr(x) == "ZElement(1, 0, 2)"
+    assert x.coords(4) == (1, 0, 2, 0) and type(x.coords(3)) is tuple
+    with pytest.raises(ValueError, match="^support reaches position 3 beyond requested length 2$"):
+        ZElement.from_coords((1, 0, 2)).coords(2)
+    assert x.bump(3, -2) == (1,) and x.bump(5, 1) == (1, 0, 2, 0, 1)
+    with pytest.raises(ValueError, match="^positions are 1-based$"):
+        x.bump(0, 1)
+
+
 def test_sigma_and_eps_by_hand():
     # base word (1, 2, 1); x = (1, 1, 0) has sigma_1 = 1 - 1 = 0, sigma_2 = 1
     x = ZElement.from_coords((1, 1, 0))
@@ -42,7 +68,7 @@ def test_sigma_and_eps_by_hand():
 
 
 def test_lowering_from_zero_walks_the_word():
-    zero = ZElement.zero()
+    zero = ZElement()
     assert ftilde(SPEC_A2, zero, 1).coords(3) == (1, 0, 0)
     assert ftilde(SPEC_A2, zero, 2).coords(3) == (0, 1, 0)
     one = ftilde(SPEC_A2, zero, 1)
@@ -62,7 +88,7 @@ def test_etilde_max_counts():
     x = ZElement.from_coords((2, 0, 0))
     top, count = etilde_max(SPEC_A2, x, 1)
     assert count == eps(SPEC_A2, x, 1) == 2
-    assert top.is_zero()
+    assert not top
     # a letter-2 box shields one of the letter-1 boxes: (2,1,0) has eps_1 = 1
     assert eps(SPEC_A2, ZElement.from_coords((2, 1, 0)), 1) == 1
 
@@ -223,7 +249,7 @@ def test_letter_max_is_the_brute_force_max_of_sigma(data):
     # the attaining positions are listed in the support only: the zero tail
     # attains a zero max at infinitely many positions
     spec, x, i = data
-    sigmas = {k: sigma_k(spec, x, k) for k in range(1, x.support_max() + 1)
+    sigmas = {k: sigma_k(spec, x, k) for k in range(1, len(x) + 1)
               if spec.letter(k) == i}
     best = max([0, *sigmas.values()])
     assert letter_max(spec, x, i) == (best, [k for k, s in sigmas.items() if s == best])
