@@ -80,7 +80,7 @@ def _emit(args, meta: dict, data: dict, csv_rows) -> None:
 
 
 def _points_payload(args, meta, pts) -> None:
-    data = {"count": len(pts), "points": [list(p) for p in pts]}
+    data = {"count": len(pts), "points": pts}
     _emit(args, meta, data, pts)
 
 

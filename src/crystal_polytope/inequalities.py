@@ -147,29 +147,34 @@ def _cap_error(spec: SequenceSpec, window: int) -> ValueError:
                       f"at window {window} passed {CLOSURE_FORMS} forms")
 
 
-def _close(spec: SequenceSpec, window: int):
-    # Only last round's forms are descended, only at window positions of their support:
+def _close(spec: SequenceSpec, window: int, closed=frozenset(), below: int = 0):
+    # closed, if given, is the closure at window below: the seeds and templates there are
+    # among those here, and it is closed at positions <= below, so its forms need descending
+    # only at positions below+1..window, and the new seeds join them in the first fresh set.
+    # Then only last round's forms are descended, only at window positions of their support:
     # older forms' descents are in already, and a zero coefficient leaves a form as it is.
     # Every round but the last adds a form, so the form cap also bounds the rounds.
     table, seeds = descent_templates(spec, window)
-    forms = set(seeds)
-    fresh = set(forms)
+    forms = set(closed)
+    fresh = {out for psi in closed for k, _ in psi.coeffs
+             if below < k <= window and not (out := shat(table, psi, k)).is_zero()}
+    fresh = (fresh | set(seeds)) - forms
     while fresh:
-        fresh = {out for psi in fresh for k, _ in psi.coeffs
-                 if k <= window and not (out := shat(table, psi, k)).is_zero()
-                 and out not in forms}
         forms |= fresh
         if len(forms) > CLOSURE_FORMS:
             raise _cap_error(spec, window)
+        fresh = {out for psi in fresh for k, _ in psi.coeffs
+                 if k <= window and not (out := shat(table, psi, k)).is_zero()
+                 and out not in forms}
     return forms
 
 
 def generate_xi(spec: SequenceSpec, window: int) -> XiSet:
     """Close the seeds under descent and certify stability of the restriction.
 
-    Certification re-runs the closure with the window extended by the
-    rank; the two closures must restrict to the same form set on the
-    base word's positions.  A closure that fails this check is returned
+    Certification extends the closure to the window widened by the rank;
+    the two closures must restrict to the same form set on the base
+    word's positions.  A closure that fails this check is returned
     uncertified rather than rejected; one that passes the form cap
     raises.
     """
@@ -182,7 +187,8 @@ def generate_xi(spec: SequenceSpec, window: int) -> XiSet:
         raise _cap_error(spec, window)
     forms = _close(spec, window)
     delta = _restricted(forms, r)
-    certified = delta == _restricted(_close(spec, window + spec.cartan.rank), r)
+    wider = _close(spec, window + spec.cartan.rank, forms, window)
+    certified = delta == _restricted(wider, r)
     return XiSet(spec, frozenset(forms), certified, tuple(sorted(delta)))
 
 

@@ -4,17 +4,22 @@ Everything here is exact: rows are integer vectors, bounding boxes are
 computed by interval propagation with integer floor division rounding
 the safe way, lattice points come from a depth-first walk over the box
 that bounds each coordinate from the rows' partial sums and the most
-the remaining coordinates can add (so no cell is tested on its own), and
-redundancy removal is Fourier-Motzkin elimination in integers on the
-strict negation of a row (safe for lattice point sets since it only
-drops rows implied over the rationals).  Only integer rows come in: the
-inequality layer instantiates its forms at a weight first.
+the remaining coordinates can add (so no cell is tested on its own;
+rows are checked against the box once, at the root, and a node reads
+and updates only the rows with a nonzero coefficient on its
+coordinate), and redundancy removal is Fourier-Motzkin elimination in
+integers on the strict negation of a row (safe for lattice point sets
+since it only drops rows implied over the rationals).  Only integer
+rows come in: the inequality layer instantiates its forms at a weight
+first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import gcd
+from operator import add
 
 BOX_ROUNDS = 100  # cap on the interval propagation rounds of bounding_box
 IMPLIED_ROWS = 1_000_000  # cap on the rows one Fourier-Motzkin step of _implied_by builds
@@ -112,55 +117,88 @@ def lattice_points(system: HalfSpaceSystem) -> list:
 
     At depth d the coordinates before d are fixed and each row carries its
     partial sum over them.  The most a row can still gain from coordinates
-    after d is the box maximum of its remaining terms, so a row with a
-    positive coefficient raises x_d's lower bound (ceiling division), a
-    row with a negative one lowers the upper bound (floor division), and a
-    row that misses x_d prunes the branch when even that maximum leaves it
-    negative.  At the last coordinate nothing remains, the bounds are
-    exact and every value between them is a point.  Values rise at every
-    depth, so the points come out sorted.
+    after d is its reach, the box maximum of its remaining terms, so a row
+    with a positive coefficient on x_d raises x_d's lower bound (ceiling
+    division) and a row with a negative one lowers the upper bound (floor
+    division).  A node reads only the rows of its coordinate's column, and
+    the partial sums live in one list that the walk updates in place.
+
+    Rows are checked against the box once, at the root: a row whose
+    constant plus the box maximum of all its terms is negative holds
+    nowhere, and the system has no point.  Below the root no row needs the
+    check.  Write R_d for the box maximum of a row's terms on x_d and
+    after.  By induction on depth, partial + R_d >= 0 holds for every row
+    at every node of depth d.  At the root it is the root check.  A row
+    with a nonzero coefficient c on x_d gets an x_d inside its bound,
+    which is exactly partial + c*x_d + R_(d+1) >= 0.  A row with c == 0
+    keeps its partial sum, and R_(d+1) == R_d.  At the last coordinate
+    nothing remains, the bounds are exact and every value between them is
+    a point.  Values rise at every depth, so the points come out sorted.
     """
     box = bounding_box(system)
     n, rows = system.dim, system.rows
-    if n == 0:
-        return [()] if all(const >= 0 for _, const in rows) else []
     if any(h < l for l, h in zip(box.lo, box.hi)):
         return []
-    # steps[d]: x_d's box interval, the rows' coefficients on x_d, and
-    # (row, coefficient, reach) for the rows whose coefficient is positive,
-    # negative or zero; reach is the most the coordinates after d can add
-    # to the row over the box
+    # steps[d]: x_d's box interval, (row, coefficient, reach) for the rows
+    # whose coefficient on x_d is positive (lifts) or negative (caps), and
+    # (row, coefficient) for both, the column a node updates; reach is the
+    # most the coordinates after d can add to the row over the box
     reach = [0] * len(rows)
     steps = []
     for d in reversed(range(n)):
         lo, hi = box.lo[d], box.hi[d]
-        column = tuple(coeffs[d] for coeffs, _ in rows)
-        lifts, caps, misses = [], [], []
-        for r, c in enumerate(column):
-            (lifts if c > 0 else caps if c < 0 else misses).append((r, c, reach[r]))
-        steps.append((lo, hi, column, lifts, caps, misses))
-        reach = [t + max(c * lo, c * hi) for t, c in zip(reach, column)]
+        lifts, caps = [], []
+        for r, (coeffs, _) in enumerate(rows):
+            c = coeffs[d]
+            if c > 0:
+                lifts.append((r, c, reach[r]))
+                reach[r] += c * hi
+            elif c < 0:
+                caps.append((r, c, reach[r]))
+                reach[r] += c * lo
+        steps.append((lo, hi, lifts, caps, [(r, c) for r, c, _ in lifts + caps]))
     steps.reverse()
-    last = n - 1
+    partial = [const for _, const in rows]
+    if any(s + t < 0 for s, t in zip(partial, reach)):
+        return []
+    if n == 0:
+        return [()]
     out = []
-
-    def walk(d: int, prefix: tuple, partial: list) -> None:
-        lo, hi, column, lifts, caps, misses = steps[d]
-        for r, _, t in misses:
-            if partial[r] + t < 0:
-                return
-        for r, c, t in lifts:
-            lo = max(lo, -((partial[r] + t) // c))
-        for r, c, t in caps:
-            hi = min(hi, (partial[r] + t) // -c)
-        if d == last:
-            out.extend(prefix + (x,) for x in range(lo, hi + 1))
-            return
-        for x in range(lo, hi + 1):
-            walk(d + 1, prefix + (x,), [s + c * x for s, c in zip(partial, column)])
-
-    walk(0, (), [const for _, const in rows])
+    _walk(steps, 0, (), partial, out)
     return out
+
+
+def _walk(steps: list, d: int, prefix: tuple, partial: list, out: list) -> None:
+    """Append the points below one node of the ``lattice_points`` walk.
+
+    ``partial`` is shared by the whole walk: each node adds its column's
+    terms in place and takes them off again before it returns.  A
+    module-level function, not a closure: a nested function that calls
+    itself is a reference cycle, which would keep ``out`` alive until the
+    cyclic collector runs.
+    """
+    lo, hi, lifts, caps, column = steps[d]
+    for r, c, t in lifts:
+        b = -((partial[r] + t) // c)
+        if b > lo:
+            lo = b
+    for r, c, t in caps:
+        b = (partial[r] + t) // -c
+        if b < hi:
+            hi = b
+    if lo > hi:
+        return
+    if d + 1 == len(steps):
+        out.extend(map(add, repeat(prefix), zip(range(lo, hi + 1))))
+        return
+    for r, c in column:
+        partial[r] += c * lo
+    for x in range(lo, hi + 1):
+        _walk(steps, d + 1, prefix + (x,), partial, out)
+        for r, c in column:
+            partial[r] += c
+    for r, c in column:
+        partial[r] -= c * (hi + 1)
 
 
 def _row_reduce(coeffs: tuple, const: int):

@@ -313,17 +313,23 @@ def products_closure(polys: list, degree_cap: int) -> list:
     gens = [f for f in polys if f.total_degree() > 0]
     nvars = polys[0].nvars if polys else 0
     out = []
-
-    def grow(start: int, current: MultiPoly, degree: int):
-        out.append(current)
-        for idx in range(start, len(gens)):
-            d2 = degree + gens[idx].total_degree()
-            if d2 > degree_cap:
-                continue
-            grow(idx, current.mul(gens[idx]), d2)
-
-    grow(0, MultiPoly.constant(nvars, 1), 0)
+    _grow(gens, degree_cap, 0, MultiPoly.constant(nvars, 1), 0, out)
     return out
+
+
+def _grow(gens: list, degree_cap: int, start: int, current: MultiPoly, degree: int,
+          out: list) -> None:
+    """Append current, then its products with gens[start:] that stay under the cap.
+
+    A module-level function, not a closure: a nested function that calls
+    itself is a reference cycle, which would keep ``out`` alive until the
+    cyclic collector runs.
+    """
+    out.append(current)
+    for idx in range(start, len(gens)):
+        d2 = degree + gens[idx].total_degree()
+        if d2 <= degree_cap:
+            _grow(gens, degree_cap, idx, current.mul(gens[idx]), d2, out)
 
 
 def value_set_of_span(polys: list, order: ValuationOrder) -> frozenset:

@@ -1,6 +1,7 @@
 """Command-line interface: golden outputs, formats, exit codes."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -197,8 +198,15 @@ def test_delta_points_equal_enumerate(capsys):
 
 
 # sha256 of the delta-points JSON stdout, captured from the box filter that
-# tested every cell; at k*rho on a longest word there are (k+1)^N points
+# tested every cell (G2 at 3rho, C3 at 2rho) and from the walk that rebuilt
+# every row's partial sum at every node (A2 at 4rho, G2 at 2rho); at k*rho on
+# a longest word there are (k+1)^N points on G2 and C3, and Weyl's formula
+# gives 125 on A2 at 4rho
 DELTA_POINTS_SHA256 = {
+    ("A", "2", "1,2,1", "4,4"):
+        ("f07346a0b762fb2aba7ddb99d2328502dac446218f4c09a678605d230cbd4b01", 125),
+    ("G", "2", "1,2,1,2,1,2", "2,2"):
+        ("b698dff205dc232c8fe64946f379ced22b02a51ca2ead83327307a446c4a8fab", 3 ** 6),
     ("G", "2", "1,2,1,2,1,2", "3,3"):
         ("8b6d3723a815794828f44a960fa63dab4c7f800b5ad4c4d59af22f62ce788336", 4 ** 6),
     ("C", "3", "1,2,1,3,2,1,3,2,3", "2,2,2"):
@@ -214,6 +222,35 @@ def test_delta_points_output_is_pinned(capsys, family, rank, word, lam):
     assert code == 0
     assert json.loads(out)["data"]["count"] == count
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# one successful call of each command that builds points, rows, forms or checks
+ACYCLIC_ARGVS = [
+    ["delta-points", "--type", "A", "--rank", "2", "--word", "1,2,1", "--lambda", "4,4"],
+    ["delta-hrep", "--type", "A", "--rank", "2", "--word", "1,2,1", "--lambda", "1,1"],
+    ["enumerate", "--type", "C", "--rank", "2", "--word", "1,2,1,2", "--lambda", "1,1"],
+    ["string-points", "--type", "A", "--rank", "2", "--word", "1,2,1", "--lambda", "1,1"],
+    ["ample", "--type", "C", "--rank", "2", "--word", "1,2,1,2", "--lambda", "2,3"],
+    ["theorem-check", "--type", "G", "--rank", "2", "--word", "1,2,1,2,1,2", "--lambda", "1,1"],
+    ["theorem-check", "--type", "A", "--rank", "2", "--word", "1,2,1", "--lambda", "1,1",
+     "--degree-cap", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", ACYCLIC_ARGVS, ids=lambda argv: f"{argv[0]}-{argv[2]}{argv[4]}")
+def test_successful_commands_leave_no_reference_cycles(capsys, argv):
+    # a cycle keeps what it holds (a walk's point list, say) until the cyclic
+    # collector runs; the parser is built once per process, so build it first
+    cli._parser()
+    gc.collect()
+    gc.disable()
+    try:
+        code = cli.main(argv)
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert code == 0
+    assert left == 0
 
 
 def test_string_points_subcommand(capsys):

@@ -126,6 +126,28 @@ def test_closure_descends_only_fresh_forms_to_the_same_result(family, rank, lett
         assert _close(spec, window) == naive_close(spec, window)
 
 
+@pytest.mark.parametrize("family,rank,letters,window", [
+    *((family, rank, letters, len(letters)) for family, rank, letters in CHARTS),
+    ("A", 3, (1, 2, 1, 3, 2, 1), 8),
+])
+def test_certification_closure_matches_two_naive_closures(family, rank, letters, window):
+    # generate_xi extends the window's closure to window + rank instead of
+    # closing again from the seeds; two closures from scratch must agree with it
+    spec = SequenceSpec(cartan_builtin(family, rank), ReducedWord(letters))
+    r, zero = len(letters), AffineForm.make({}, (0,) * rank)
+    forms = naive_close(spec, window)
+    wide = naive_close(spec, window + rank)
+    delta = {f.restrict(r) for f in forms} - {zero}
+    # the extension itself, not only its restriction, is the closure at the wider window
+    assert _close(spec, window + rank, _close(spec, window), window) == wide
+    xi = generate_xi(spec, window)
+    assert xi.forms == forms
+    assert xi.delta == tuple(sorted(delta))
+    assert xi.certified == (delta == {f.restrict(r) for f in wide} - {zero})
+    # only A3 at window 6 is left uncertified
+    assert xi.certified == ((family, window) != ("A", 6))
+
+
 @pytest.mark.parametrize("family,rank,letters", CHARTS)
 def test_closure_descends_only_at_nonzero_coefficients(monkeypatch, family, rank, letters):
     spec = SequenceSpec(cartan_builtin(family, rank), ReducedWord(letters))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crystal_polytope import polytope
-from crystal_polytope.demazure import enumerate_demazure
+from crystal_polytope.demazure import btilde_cut, enumerate_demazure
 from crystal_polytope.inequalities import delta_hrep, delta_system, generate_xi
 from crystal_polytope.polytope import (HalfSpaceSystem, bounding_box, lattice_points,
                                        normalize, _implied_by)
@@ -91,23 +91,72 @@ def test_lattice_points_of_empty_systems():
 
 @st.composite
 def bounded_systems(draw):
-    """A box lo <= x <= hi cut by random rows, which may leave no box or no point."""
-    dim = draw(st.integers(0, 5))
-    rows = []
+    """A box lo <= x <= hi cut by random rows, which may leave no box or no point.
+
+    Cuts are dense, or sparse with at most two nonzero coefficients (as most
+    delta rows are).  Some systems also get a row with no x_1 term that fails
+    everywhere on the box, or a row with no term at all and a negative constant.
+    """
+    dim = draw(st.integers(0, 7))
+    width = 3 if dim <= 5 else 2  # at most 4^5 or 3^7 cells for the box filter
+    rows, box = [], []
     for j in range(dim):
         unit = tuple(int(i == j) for i in range(dim))
         lo = draw(st.integers(-2, 2))
-        hi = lo + draw(st.integers(0, 3))
+        hi = lo + draw(st.integers(0, width))
         rows += [(unit, -lo), (tuple(-c for c in unit), hi)]
-    cut = st.tuples(st.tuples(*[st.integers(-3, 3)] * dim), st.integers(-4, 8))
-    rows += draw(st.lists(cut, max_size=6))
+        box.append((lo, hi))
+    coeff = st.integers(-3, 3)
+    dense = st.tuples(st.tuples(*[coeff] * dim), st.integers(-4, 8))
+
+    @st.composite
+    def sparse(draw):
+        terms = draw(st.dictionaries(st.integers(0, dim - 1), coeff, max_size=2)) if dim else {}
+        return tuple(terms.get(i, 0) for i in range(dim)), draw(st.integers(-4, 8))
+
+    rows += draw(st.lists(st.one_of(dense, sparse()), max_size=6))
+    if dim > 1 and draw(st.booleans()):
+        coeffs = (0,) + draw(st.tuples(*[coeff] * (dim - 1)))
+        most = sum(max(c * lo, c * hi) for c, (lo, hi) in zip(coeffs, box))
+        rows.append((coeffs, -most - draw(st.integers(1, 3))))
+    if draw(st.booleans()):
+        rows.append(((0,) * dim, draw(st.integers(-3, 0))))
     return HalfSpaceSystem.make(dim, draw(st.permutations(rows)))
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(bounded_systems())
 def test_lattice_points_match_the_box_filter(system):
     assert lattice_points(system) == brute_lattice_points(system)
+
+
+@pytest.mark.parametrize("row", [
+    ((0, 1, -1), -3),  # no x_1 term; the most it reaches on the box is 2
+    ((0, 0, 0), -1),   # no term at all
+    ((1, 1, 0), -5),   # reaches 4 on the box
+])
+def test_a_row_that_fails_on_the_whole_box_ends_the_walk_at_the_root(monkeypatch, row):
+    cube = [(tuple(int(i == j) for i in range(3)), 0) for j in range(3)]
+    cube += [(tuple(-int(i == j) for i in range(3)), 2) for j in range(3)]
+    system = HalfSpaceSystem.make(3, cube + [row])
+    assert len(lattice_points(HalfSpaceSystem.make(3, cube))) == 27
+
+    def no_walk(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(polytope, "_walk", no_walk)
+    assert lattice_points(system) == []
+
+
+def test_lattice_points_on_the_ample_d4_word_match_the_cut():
+    cartan = cartan_builtin("D", 4)
+    word = ReducedWord((1, 2, 1, 3, 4, 2, 1, 3, 4, 2, 3, 4))
+    rho = WeightVec((1, 1, 1, 1))
+    xi = generate_xi(SequenceSpec(cartan, word), len(word.letters))
+    pts = lattice_points(delta_hrep(xi, rho))
+    cut = btilde_cut(cartan, word, rho)
+    assert len(pts) == len(cut) == 4 ** 6
+    assert pts == sorted(cut.coords)
 
 
 def test_delta_system_matches_direct_eval():
